@@ -78,7 +78,7 @@ def chain_keys(snapshot, max_depth=12):
         relationship_edge_count=snapshot.relationship_count,
     )
     view = CPG(snapshot, ClassHierarchy([]), statistics, {})
-    finder = GadgetChainFinder(view, max_depth=max_depth, workers=1)
+    finder = GadgetChainFinder(view, max_depth=max_depth)
     return sorted(
         (tuple(s.qualified for s in chain.steps), chain.sink_category)
         for chain in finder.find_chains()

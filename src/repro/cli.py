@@ -171,10 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "reachability and/or taint summaries; the "
                         "refined list is a verbatim subset of the "
                         "unrefined one (extension, off by default)")
-    chains.add_argument("--baseline-search", action="store_true",
-                        help="use the unoptimized search engine (no "
-                        "reachability pruning / negative caching); the "
-                        "chain set is identical either way")
     chains.add_argument("--json", action="store_true", help="machine-readable output")
 
     diff = sub.add_parser(
@@ -220,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--profile", action="store_true",
                        help="run the query and print the plan with "
                        "per-operator row/time counters to stderr")
-    query.add_argument("--no-planner", action="store_true",
-                       help="use the legacy naive interpreter "
-                       "(incompatible with --explain/--profile)")
 
     bench = sub.add_parser("bench", help="regenerate an evaluation table")
     bench.add_argument(
@@ -298,9 +291,9 @@ def _add_build_flags(parser: argparse.ArgumentParser) -> None:
     """CPG-build tuning shared by ``analyze`` and ``chains``."""
     parser.add_argument(
         "--workers", type=_workers_arg, default=1, metavar="N",
-        help="shard the summary phase — and, for 'chains', the per-sink "
-        "search — across N worker processes ('auto' = one per CPU, 1 = "
-        "in-process serial); results are bit-identical to serial",
+        help="shard the summary phase across N worker processes ('auto' "
+        "= one per CPU, 1 = in-process serial); results are "
+        "bit-identical to serial",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -429,7 +422,6 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         tabby = Tabby.load_cpg(
             args.cpg,
             sources=_sources(args.sources),
-            workers=args.workers,
             cache_dir=args.cache_dir,
         )
     else:
@@ -441,7 +433,6 @@ def _cmd_chains(args: argparse.Namespace) -> int:
         source_filter=args.source_filter,
         refine_guards=args.refine_guards,
         refine=args.refine,
-        optimize=not args.baseline_search,
     )
     refining = args.refine_guards or args.refine
     if args.refine_guards:
@@ -657,15 +648,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.graphdb.query import jsonable_row, run_query
     from repro.graphdb.storage import open_graph
 
-    if args.no_planner and (args.explain or args.profile):
-        print("query: --no-planner is incompatible with --explain/--profile",
-              file=sys.stderr)
-        return 2
     graph = open_graph(args.cpg)
     result = run_query(
         graph,
         args.cypher,
-        optimize=not args.no_planner,
         explain=args.explain,
         profile=args.profile,
     )

@@ -153,8 +153,6 @@ class Tabby:
         refine_guards: bool = False,
         refine: Optional[Sequence[str]] = None,
         skip_rta_dead: bool = False,
-        optimize: bool = True,
-        search_workers: Optional[int] = None,
     ) -> List[GadgetChain]:
         """Run the tabby-path-finder search over the CPG.
 
@@ -178,12 +176,8 @@ class Tabby:
         ``max_results_per_sink`` is ``None`` (truncation composes
         differently with pruning).
 
-        ``optimize=False`` restores the baseline search engine (no
-        reachability pruning or negative caching) — the chain set is
-        identical either way.  ``search_workers`` shards the per-sink
-        search across a process pool (``None`` reuses :attr:`workers`,
-        1 = serial, 0 = one per CPU); diagnostics for the last run are
-        kept in :attr:`last_search_stats`.
+        Diagnostics for the last run are kept in
+        :attr:`last_search_stats`.
         """
         cpg = self.build_cpg()
         if refine and not cpg.hierarchy.classes:
@@ -197,8 +191,6 @@ class Tabby:
             follow_alias=follow_alias,
             max_results_per_sink=max_results_per_sink,
             uniqueness=uniqueness,
-            optimize=optimize,
-            workers=self.workers if search_workers is None else search_workers,
             skip_rta_dead=skip_rta_dead,
         )
         chains = finder.find_chains(source_filter=source_filter)
@@ -235,7 +227,6 @@ class Tabby:
         uniqueness: Uniqueness = Uniqueness.RELATIONSHIP_PATH,
         refine_guards: bool = False,
         refine: Optional[Sequence[str]] = None,
-        optimize: bool = True,
     ):
         """Compare gadget chains across two versions of a classpath.
 
@@ -270,8 +261,6 @@ class Tabby:
                 follow_alias=follow_alias,
                 max_results_per_sink=max_results_per_sink,
                 uniqueness=uniqueness,
-                optimize=optimize,
-                workers=self.workers,
             ),
         )
         old_chains = list(session.chains)
@@ -350,13 +339,11 @@ class Tabby:
         self,
         cypher: str,
         *,
-        optimize: bool = True,
         explain: bool = False,
         profile: bool = False,
     ) -> QueryResult:
         """Run a Cypher-subset query against the CPG.
 
-        ``optimize=False`` selects the legacy naive interpreter;
         ``explain=True`` returns only the plan (``result.plan``) without
         executing, and ``profile=True`` executes while collecting
         per-operator row/time counters on the plan.
@@ -364,7 +351,6 @@ class Tabby:
         return run_query(
             self.build_cpg().graph,
             cypher,
-            optimize=optimize,
             explain=explain,
             profile=profile,
         )

@@ -84,7 +84,7 @@ class CPGStatistics:
     #: wall-clock per build phase: summaries / org / pcg / mag
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: worker processes used for the summary phase (0 = serial)
-    parallel_workers: int = 0
+    summary_workers: int = 0
     #: methods analysed by Algorithm 1 this build
     analyzed_method_count: int = 0
     #: methods whose summaries came from the on-disk cache
@@ -119,7 +119,7 @@ class CPGStatistics:
             )
         lines.append(
             "summary workers: "
-            + (str(self.parallel_workers) if self.parallel_workers else "serial")
+            + (str(self.summary_workers) if self.summary_workers else "serial")
         )
         lines.append(f"total build: {self.build_seconds:.3f}s")
         return lines
@@ -245,7 +245,7 @@ class CPGBuilder:
             pruned_call_sites=pruned,
             build_seconds=time.perf_counter() - started,
             phase_seconds=phases,
-            parallel_workers=(
+            summary_workers=(
                 self.parallel.resolved_workers() if self.parallel else 0
             ),
             analyzed_method_count=analyzed,

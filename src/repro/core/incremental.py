@@ -120,7 +120,6 @@ class ChainSearchConfig:
     max_results_per_sink: Optional[int] = 200
     uniqueness: Uniqueness = Uniqueness.RELATIONSHIP_PATH
     optimize: bool = True
-    workers: int = 1
 
 
 @dataclass
@@ -524,7 +523,6 @@ class IncrementalAnalyzer:
             max_results_per_sink=cfg.max_results_per_sink,
             uniqueness=cfg.uniqueness,
             optimize=cfg.optimize,
-            workers=cfg.workers,
         )
 
     @staticmethod

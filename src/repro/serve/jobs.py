@@ -29,6 +29,7 @@ service workers bound memory at N live CPGs while the summary cache
 
 from __future__ import annotations
 
+import logging
 import os
 import queue
 import threading
@@ -59,6 +60,8 @@ __all__ = [
 ]
 
 _SENTINEL = object()
+
+_LOG = logging.getLogger("repro.serve.jobs")
 
 
 class JobState:
@@ -629,11 +632,19 @@ class JobManager:
             job.phase = "parse"
         try:
             result = self._compute(job)
-        except (ReproError, ValueError) as exc:
+        except Exception as exc:
+            # expected input errors carry their own message; anything
+            # else is a defect, reported by exception type so the job
+            # record says what went wrong
+            if isinstance(exc, (ReproError, ValueError)):
+                error = str(exc)
+            else:
+                _LOG.exception("job %s failed with an internal error", job.id)
+                error = f"internal error: {type(exc).__name__}: {exc}"
             with self._lock:
                 job.state = JobState.FAILED
                 job.phase = "failed"
-                job.error = str(exc)
+                job.error = error
                 job.finished = time.time()
                 self._active.pop(job.key, None)
                 self.failed += 1
@@ -881,11 +892,7 @@ class JobManager:
         cpg = CPG(graph, ClassHierarchy([]), statistics, {})
         job.progress["cpg"] = _cpg_row(statistics)
         job.phase = "search"
-        finder = GadgetChainFinder(
-            cpg,
-            max_depth=options["max_depth"],
-            workers=1,
-        )
+        finder = GadgetChainFinder(cpg, max_depth=options["max_depth"])
         chains = finder.find_chains(source_filter=options["source_filter"])
         job.progress["search"] = _search_row(finder.last_search_stats)
         job.phase = "fingerprint"
@@ -928,11 +935,7 @@ class JobManager:
         job.progress["cpg"] = _cpg_row(cpg.statistics)
         job.progress["version"] = int(job.submission.payload[0])
         job.phase = "search"
-        finder = GadgetChainFinder(
-            cpg,
-            max_depth=options["max_depth"],
-            workers=1,
-        )
+        finder = GadgetChainFinder(cpg, max_depth=options["max_depth"])
         chains = finder.find_chains(source_filter=options["source_filter"])
         job.progress["search"] = _search_row(finder.last_search_stats)
         job.phase = "fingerprint"

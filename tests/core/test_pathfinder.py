@@ -394,13 +394,17 @@ class TestExactCounters:
         call(g, x, a, [0])
         call(g, x, b, [0])
         call(g, y, x, [0])
-        # no sources at all: disable the reachability prune to exercise
-        # the cache in isolation
-        finder = GadgetChainFinder(
-            hand_built_cpg(g), optimize=True, prune_unreachable=False
-        )
+        # the only source reaches y over a CALL edge whose PP is ∞: the
+        # reachability prune keeps every node, but the Expander rejects
+        # that edge, so the subtree behind x stays dead and the cache is
+        # exercised in isolation
+        src = method_node(g, "readObject", source=True)
+        call(g, src, y, [-1])
+        finder = GadgetChainFinder(hand_built_cpg(g), optimize=True)
         assert finder.find_chains() == []
         stats = finder.last_search_stats
+        assert stats.reachable_nodes == 6
+        assert stats.reachability_pruned == 0
         # visits: (exec), (a), (x), (y), (b), (x: cache hit) -> 6
         assert stats.paths_visited == 6
         assert stats.negative_cache_hits == 1
@@ -461,23 +465,3 @@ class TestSourceFilterBudget:
         finder = GadgetChainFinder(hand_built_cpg(g))
         chains = finder.find_chains(source_filter="org.good")
         assert [c.source.class_name for c in chains] == ["org.good.T"]
-
-
-class TestParallelSearch:
-    def test_workers_match_serial_on_mini_cpg(self):
-        g = PropertyGraph()
-        sources = []
-        for i in range(4):
-            sink = method_node(g, f"exec{i}", cls=f"s{i}", sink=True, tc=[0])
-            mid = method_node(g, f"mid{i}", cls=f"s{i}")
-            src = method_node(g, "readObject", cls=f"s{i}", source=True)
-            call(g, mid, sink, [0])
-            call(g, src, mid, [0])
-            sources.append(src)
-        serial = GadgetChainFinder(hand_built_cpg(g), workers=1)
-        fanned = GadgetChainFinder(hand_built_cpg(g), workers=2)
-        assert ([c.key for c in serial.find_chains()]
-                == [c.key for c in fanned.find_chains()])
-        assert fanned.last_search_stats.parallel_workers == 2
-        assert (fanned.last_search_stats.paths_visited
-                == serial.last_search_stats.paths_visited)

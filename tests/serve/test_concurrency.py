@@ -50,6 +50,31 @@ class GatedManager(JobManager):
         return super()._compute(job)
 
 
+class FaultyManager(JobManager):
+    """A manager whose first job's pipeline raises a non-library
+    exception — a stand-in for any defect inside ``_compute``."""
+
+    def __init__(self, **kwargs):
+        self.faults = 1
+        super().__init__(**kwargs)
+
+    def _compute(self, job):
+        if self.faults:
+            self.faults -= 1
+            raise RuntimeError("injected defect")
+        return super()._compute(job)
+
+
+def wait_until_running(job):
+    """Block until a worker has picked ``job`` up (gated managers hold
+    it RUNNING at the gate)."""
+    for _ in range(500):
+        if job.state == JobState.RUNNING:
+            break
+        threading.Event().wait(0.01)
+    assert job.state == JobState.RUNNING
+
+
 class TestSingleComputationPerHash:
     def test_mixed_identical_and_distinct_submissions(self):
         """8 threads x 12 submissions over 4 distinct bundles: exactly
@@ -188,7 +213,9 @@ class TestShutdown:
     def test_no_drain_cancels_queued_jobs(self):
         manager = GatedManager(workers=1)
         jobs = [manager.submit(body_for(f"nodrain{i}"))[0] for i in range(4)]
-        # worker holds job 0 at the gate; 1..3 are queued
+        # worker holds job 0 at the gate; 1..3 are queued — shutting down
+        # before the worker has taken job 0 would cancel it too
+        wait_until_running(jobs[0])
         canceller = threading.Thread(
             target=manager.shutdown, kwargs={"drain": False}
         )
@@ -219,12 +246,7 @@ class TestDeleteSemantics:
         manager = GatedManager(workers=1)
         try:
             job, _ = manager.submit(body_for("delrun"))
-            # wait until the worker picks it up
-            for _ in range(500):
-                if job.state == JobState.RUNNING:
-                    break
-                threading.Event().wait(0.01)
-            assert job.state == JobState.RUNNING
+            wait_until_running(job)
             assert manager.delete(job.id) == "running"
             manager.gate.set()
             assert job.wait(timeout=60)
@@ -249,4 +271,31 @@ class TestDeleteSemantics:
             assert again.state == JobState.DONE
         finally:
             manager.gate.set()
+            manager.shutdown()
+
+
+class TestWorkerSurvival:
+    def test_unexpected_exception_fails_one_job_not_the_worker(self):
+        manager = FaultyManager(workers=1)
+        try:
+            broken, status = manager.submit(body_for("faulty"))
+            assert status == "new"
+            assert broken.wait(timeout=10), "the faulting job never finished"
+            assert broken.state == JobState.FAILED
+            assert "RuntimeError" in broken.error
+            assert "injected defect" in broken.error
+            # the failed job is retired: an identical resubmission
+            # computes fresh instead of attaching to it
+            again, status = manager.submit(body_for("faulty"))
+            assert status == "new" and again.id != broken.id
+            assert again.wait(timeout=60)
+            assert again.state == JobState.DONE
+            assert again.result.chain_records == direct_records("faulty")
+            following, status = manager.submit(body_for("afterfault"))
+            assert status == "new"
+            assert following.wait(timeout=60)
+            assert following.state == JobState.DONE
+            assert all(thread.is_alive() for thread in manager._threads)
+            assert manager.failed == 1 and manager.computed == 2
+        finally:
             manager.shutdown()

@@ -93,28 +93,6 @@ class TestAnalyze:
         rows = json.loads(captured.out)  # --json output stays clean
         assert rows == [{"n": "invoke"}]
 
-    def test_query_no_planner_matches_default(self, jar_dir, tmp_path, capsys):
-        cpg = str(tmp_path / "out.cpg.json.gz")
-        main(["analyze", jar_dir, "-o", cpg])
-        cypher = ("MATCH (m:Method {IS_SINK: true}) "
-                  "RETURN m.NAME AS n ORDER BY n")
-        capsys.readouterr()
-        assert main(["query", cpg, cypher]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["query", cpg, "--no-planner", cypher]) == 0
-        legacy_out = capsys.readouterr().out
-        assert legacy_out == default_out
-
-    def test_query_no_planner_rejects_explain(self, jar_dir, tmp_path, capsys):
-        cpg = str(tmp_path / "out.cpg.json.gz")
-        main(["analyze", jar_dir, "-o", cpg])
-        capsys.readouterr()
-        assert main([
-            "query", cpg, "--no-planner", "--explain",
-            "MATCH (m:Method) RETURN m.NAME AS n",
-        ]) == 2
-        assert "incompatible" in capsys.readouterr().err
-
     def test_missing_classpath_errors(self, capsys):
         assert main(["analyze", "/no/such/dir"]) == 1
         assert "error:" in capsys.readouterr().err
