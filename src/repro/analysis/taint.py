@@ -69,6 +69,7 @@ from typing import (
     Union,
 )
 
+from repro.core.scc import settle_cone
 from repro.core.summary_cache import SummaryCache, dependency_closures
 from repro.jvm import ir
 from repro.jvm.cfg import ControlFlowGraph, build_cfg
@@ -442,12 +443,13 @@ class TaintSummaryEngine:
     """Computes (and memoises) :class:`MethodTaintSummary` per method.
 
     Summaries are finalized bottom-up over the strongly connected
-    components of the body-level call graph (iterative Tarjan from the
-    requested method, so only the reachable cone is ever analysed).
-    Mutually recursive methods — one SCC — are Kleene-iterated from the
-    bottom summary until jointly stable; ``scc_order`` lets tests
-    permute the in-SCC visit order (the fixpoint is order-independent,
-    pinned by a hypothesis property).
+    components of the body-level call graph by the SCC driver shared
+    with Algorithm 1 (:func:`repro.core.scc.settle_cone`, from the
+    requested method, so only the reachable cone is ever analysed).  An
+    acyclic method is summarised once; mutually recursive methods — one
+    SCC — are Kleene-iterated from the bottom summary until jointly
+    stable; ``scc_order`` lets tests permute the in-SCC visit order (the
+    fixpoint is order-independent, pinned by a hypothesis property).
 
     With ``cache_dir`` set, summaries are persisted per class through
     :class:`repro.core.summary_cache.SummaryCache`, keyed by the
@@ -571,70 +573,24 @@ class TaintSummaryEngine:
     # -- bottom-up SCC fixpoint --------------------------------------------
 
     def _finalize_cone(self, root: JavaMethod) -> None:
-        """Iterative Tarjan from ``root`` over the body-level call graph,
-        finalizing each SCC as it is popped (callees-first order)."""
-        index: Dict[str, int] = {}
-        lowlink: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[JavaMethod] = []
-        counter = [0]
+        """Finalize every SCC reachable from ``root``, callees first
+        (the shared driver of :mod:`repro.core.scc`)."""
+        settle_cone(
+            (method_key(root), root),
+            lambda m: [(method_key(c), c) for c in self._callees(m)],
+            self._is_finalized,
+            self._finalize_scc,
+        )
 
-        # Explicit DFS frames: (method, key, iterator position).
-        frames: List[Tuple[JavaMethod, str, int]] = []
+    def _is_finalized(self, key: str, method: JavaMethod) -> bool:
+        if key not in self._finalized:
+            self._load_class_cache(method.class_name)
+        return key in self._finalized
 
-        def push(method: JavaMethod) -> None:
-            key = method_key(method)
-            index[key] = lowlink[key] = counter[0]
-            counter[0] += 1
-            stack.append(method)
-            on_stack.add(key)
-            frames.append((method, key, 0))
-
-        root_key = method_key(root)
-        if root_key in self._finalized:
-            return
-        self._load_class_cache(root.class_name)
-        if root_key in self._finalized:
-            return
-        push(root)
-        while frames:
-            method, key, pos = frames.pop()
-            callees = self._callees(method)
-            advanced = False
-            while pos < len(callees):
-                callee = callees[pos]
-                callee_key = method_key(callee)
-                pos += 1
-                if callee_key in self._finalized:
-                    continue
-                if callee_key not in index:
-                    self._load_class_cache(callee.class_name)
-                    if callee_key in self._finalized:
-                        continue
-                    frames.append((method, key, pos))
-                    push(callee)
-                    advanced = True
-                    break
-                if callee_key in on_stack:
-                    lowlink[key] = min(lowlink[key], index[callee_key])
-            if advanced:
-                continue
-            if lowlink[key] == index[key]:
-                component: List[JavaMethod] = []
-                while True:
-                    member = stack.pop()
-                    member_key = method_key(member)
-                    on_stack.discard(member_key)
-                    component.append(member)
-                    if member_key == key:
-                        break
-                self._finalize_scc(component)
-            if frames:
-                parent_key = frames[-1][1]
-                lowlink[parent_key] = min(lowlink[parent_key], lowlink[key])
-
-    def _finalize_scc(self, component: List[JavaMethod]) -> None:
-        members = sorted(component, key=method_key)
+    def _finalize_scc(
+        self, component: List[Tuple[str, JavaMethod]], cyclic: bool
+    ) -> None:
+        members = [m for _, m in sorted(component)]
         if self.scc_order is not None:
             members = list(self.scc_order(list(members)))
         self.stats["sccs"] += 1
@@ -651,7 +607,9 @@ class TaintSummaryEngine:
                 summary = self._summarise(member)
                 if summary != self._summaries[key]:
                     self._summaries[key] = summary
-                    changed = True
+                    # an acyclic method reads no summary of its own
+                    # SCC: its first pass is already final
+                    changed = cyclic
         for member in members:
             self._finalized.add(method_key(member))
             self.stats["methods"] += 1

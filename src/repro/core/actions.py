@@ -36,6 +36,8 @@ __all__ = [
     "param_field",
     "Action",
     "calc",
+    "join",
+    "join_actions",
     "traverse_tc",
 ]
 
@@ -202,6 +204,23 @@ class Action:
     def __repr__(self) -> str:
         items = ", ".join(f"{k}: {v}" for k, v in sorted(self.mapping.items()))
         return f"Action({{{items}}})"
+
+
+def join_actions(old: Action, new: Action) -> Action:
+    """Per-key :func:`join` of two iterates of one method's Action; a
+    key present in only one of them keeps that value.  Values change
+    only to a strictly lower weight, so repeated joins terminate — the
+    recursion-cluster fixpoint of :mod:`repro.core.controllability`."""
+    mapping = dict(old.mapping)
+    for key, value in new.mapping.items():
+        kept = mapping.get(key)
+        if kept is None:
+            mapping[key] = value
+        elif kept != value:
+            mapping[key] = join(
+                Origin.from_action_value(kept), Origin.from_action_value(value)
+            ).action_value()
+    return Action(mapping)
 
 
 def calc(action: Action, inputs: Dict[str, Origin]) -> Dict[str, Origin]:

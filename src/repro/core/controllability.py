@@ -8,9 +8,9 @@ Table IV) and, at method-call statements, the interprocedural step:
 
 1. compute the call's **Polluted_Position** from the origins of the
    receiver and arguments (Figure 5(c)),
-2. recursively obtain the callee's **Action** summary
-   (``doMethodAnalysis``, memoised — "the Action property also serves
-   as a caching mechanism"),
+2. look up the callee's **Action** summary (``doMethodAnalysis``,
+   memoised — "the Action property also serves as a caching
+   mechanism"; callees are settled before their callers),
 3. ``out = calc(Action, in)`` (Formula 2) and fold ``out`` back into
    the caller's localMap (``correct``, Formula 3).
 
@@ -21,37 +21,35 @@ PCG step of §III-B2 and the path-explosion mitigation of §III-C).
 Determinism contract
 --------------------
 
-Every memoised summary is a *root-final* value: the result of analysing
-its method with a fresh recursion chain, which makes it a pure function
-of (method body, class hierarchy) alone.  Summaries whose computation
-had to break a recursion cycle (or hit the depth guard) while *nested*
-under another root are provisional — they are kept only for the
-duration of the current root analysis (so dense recursion clusters stay
-polynomial instead of exponential) and the method is re-analysed as its
-own root later.  Two rules keep root values order-independent:
+Every summary is *SCC-final*: a pure function of the bodies of its
+strongly connected component (SCC) in the static call graph — the
+``resolve_method`` targets of every non-dynamic invoke — and the final
+summaries of the SCCs it calls.  :func:`repro.core.scc.settle_cone`
+schedules the work bottom-up, callees first:
 
-* consuming a provisional value taints every frame on the active chain,
-  so nothing downstream of a cycle break is ever memoised as clean;
-* a *nested* lookup never returns a cycle-tainted final — the callee is
-  re-analysed provisionally instead.  A root's value therefore never
-  depends on whether a cycle partner happened to be finalised first,
-  which is exactly the property that lets the parallel shard workers of
-  :mod:`repro.core.parallel` and the seeded summaries of
-  :mod:`repro.core.summary_cache` reproduce the serial pipeline bit for
-  bit.
+* a method outside any recursion cycle is walked exactly once, against
+  final callee summaries;
+* a recursion cluster (a cyclic SCC) is settled by Gauss-Seidel passes
+  over its members in sorted-signature order, starting every member
+  from the identity Action.  From the second pass on each new iterate
+  is *joined* into the previous one (:func:`~repro.core.actions.join_actions`),
+  so per-key weights only fall and the passes terminate.  The pass
+  that changes nothing is the fixpoint; its call sites are recorded.
 
-Methods whose root-final summary depended on cycle breaking are
-recorded in :attr:`ControllabilityAnalysis.cycle_tainted`; the on-disk
-cache refuses to persist them.  The depth guard
-(``max_recursion_depth``) is a backstop against pathologically deep
-*acyclic* chains; if it ever fires on one, order-independence degrades
-to best-effort for the affected methods (cycles are always exact).
+Nothing about a summary depends on which method was requested first,
+on what else was analysed in the same run, or on call-chain depth (the
+scheduler keeps an explicit stack), which is exactly the property that
+lets the parallel shard workers of :mod:`repro.core.parallel`, the
+persisted classes of :mod:`repro.core.summary_cache` and the seeded
+summaries of :mod:`repro.core.incremental` reproduce a cold serial
+build bit for bit.  Seeded summaries must cover whole SCCs (see
+:meth:`ControllabilityAnalysis.seed_summaries`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.core.actions import (
@@ -62,14 +60,16 @@ from repro.core.actions import (
     UNCTRL,
     calc,
     join,
+    join_actions,
     param,
 )
+from repro.core.scc import settle_cone
 from repro.jvm import ir
 from repro.jvm.cfg import build_cfg
 from repro.jvm.hierarchy import ClassHierarchy
-from repro.jvm.model import JavaMethod, MethodSignature
+from repro.jvm.model import JavaMethod
 
-__all__ = ["CallSite", "MethodSummary", "ControllabilityAnalysis"]
+__all__ = ["CallSite", "MethodSummary", "ControllabilityAnalysis", "SummaryWork"]
 
 
 @dataclass
@@ -114,6 +114,31 @@ class MethodSummary:
     @property
     def live_call_sites(self) -> List[CallSite]:
         return [c for c in self.call_sites if not c.pruned]
+
+
+@dataclass
+class SummaryWork:
+    """What one analysis spent: body walks (fixpoint re-walks included),
+    SCCs settled, and the size and pass count of the largest SCC."""
+
+    method_analyses: int = 0
+    scc_count: int = 0
+    largest_scc_size: int = 0
+    largest_scc_passes: int = 0
+
+    def note_scc(self, size: int, passes: int) -> None:
+        self.scc_count += 1
+        self._note_largest(size, passes)
+
+    def merge(self, other: "SummaryWork") -> None:
+        self.method_analyses += other.method_analyses
+        self.scc_count += other.scc_count
+        self._note_largest(other.largest_scc_size, other.largest_scc_passes)
+
+    def _note_largest(self, size: int, passes: int) -> None:
+        if size > self.largest_scc_size:
+            self.largest_scc_size = size
+            self.largest_scc_passes = passes
 
 
 class _LocalMap:
@@ -167,31 +192,29 @@ class _LocalMap:
 
 
 class ControllabilityAnalysis:
-    """Runs Algorithm 1 over all methods of a class hierarchy."""
+    """Runs Algorithm 1 over all methods of a class hierarchy.
+
+    ``scc_order`` lets tests permute the in-SCC visit order of the
+    fixpoint passes (the default is sorted-signature order)."""
 
     def __init__(
         self,
         hierarchy: ClassHierarchy,
-        max_recursion_depth: int = 64,
+        scc_order: Optional[
+            Callable[[List[JavaMethod]], List[JavaMethod]]
+        ] = None,
     ):
         self.hierarchy = hierarchy
-        self.max_recursion_depth = max_recursion_depth
+        self.scc_order = scc_order
         self._summaries: Dict[str, MethodSummary] = {}
-        #: the active doMethodAnalysis chain, outermost root first
-        self._in_progress: List[str] = []
-        self._in_progress_set: Set[str] = set()
-        #: keys of the current chain that consumed a provisional
-        #: (cycle-breaking) summary; cleared when the root completes
-        self._tainted: Set[str] = set()
-        #: per-root memo of tainted nested results — consulted so one
-        #: root analysis never re-analyses the same cycle member twice;
-        #: cleared when the root completes (never survives across roots)
-        self._provisional: Dict[str, MethodSummary] = {}
-        #: methods whose analysis hit the recursion guard (diagnostics)
-        self.recursive_methods: Set[str] = set()
-        #: methods whose *memoised* summary depended on cycle breaking;
-        #: these are root-final but not safe to persist across builds
-        self.cycle_tainted: Set[str] = set()
+        #: the Action every call analysis composes with: final for a
+        #: settled method, the current iterate inside the SCC in flight
+        self._actions: Dict[str, Action] = {}
+        #: memoised ``resolve_method`` per (class, name, arity)
+        self._resolved: Dict[
+            Tuple[str, str, int], Optional[Tuple[JavaMethod, str]]
+        ] = {}
+        self.work = SummaryWork()
 
     # -- public API -------------------------------------------------------
 
@@ -217,74 +240,99 @@ class ControllabilityAnalysis:
         return {key: self._summaries[key] for key in sorted(self._summaries)}
 
     def seed_summaries(self, summaries: Iterable[MethodSummary]) -> None:
-        """Install externally computed root-final summaries (from the
-        on-disk cache or a parallel worker) into the memo table.  Seeded
-        values must be root-final — i.e. produced by this class — or the
-        determinism contract breaks."""
+        """Install externally computed final summaries (from the on-disk
+        cache or a previous incremental version).
+        Seeded values must have been produced by this class over the
+        same SCC bodies and callees, and must cover whole SCCs: a
+        partly seeded recursion cluster would settle its remaining
+        members against fixed partner values instead of the joint
+        fixpoint."""
         for summary in summaries:
-            self._summaries[summary.method.signature.signature] = summary
+            key = summary.method.signature.signature
+            self._summaries[key] = summary
+            self._actions[key] = summary.action
 
     def summary_for(self, method: JavaMethod) -> MethodSummary:
         """doMethodAnalysis with memoisation (the Action cache)."""
         key = method.signature.signature
-        nested = bool(self._in_progress)
         cached = self._summaries.get(key)
-        if cached is not None and not (nested and key in self.cycle_tainted):
-            # Clean finals are pure values, safe to return anywhere; a
-            # cycle-tainted final is only returned at root level — a
-            # nested caller must re-derive the cycle member under *its*
-            # root's chain, or the root's value would depend on whether
-            # the partner happened to be finalised first.
+        if cached is not None:
             return cached
-        if nested:
-            provisional = self._provisional.get(key)
-            if provisional is not None:
-                # chain-dependent value: everything on the chain becomes
-                # provisional too
-                self._tainted.update(self._in_progress)
-                return provisional
-        if (
-            key in self._in_progress_set
-            or len(self._in_progress) > self.max_recursion_depth
-        ):
-            # recursion cycle (or pathological depth): conservative
-            # identity summary.  Everything currently on the chain now
-            # depends on a provisional value, so none of those frames
-            # may be memoised except the root itself.
-            self.recursive_methods.add(key)
-            self._tainted.update(self._in_progress)
-            self._tainted.add(key)
-            return MethodSummary(
-                method, Action.identity(method.arity, not method.is_static)
-            )
         if not method.has_body:
             return MethodSummary(method, self._phantom_action(method))
-        is_root = not nested
-        self._in_progress.append(key)
-        self._in_progress_set.add(key)
-        try:
+        settle_cone(
+            (key, method),
+            self._callees,
+            lambda k, _m: k in self._summaries,
+            self._settle,
+        )
+        return self._summaries[key]
+
+    # -- SCC scheduling ---------------------------------------------------
+
+    def _resolve(
+        self, invoke: ir.InvokeExpr
+    ) -> Optional[Tuple[JavaMethod, str]]:
+        """The statically resolved callee of a non-dynamic invoke and
+        its signature key, memoised per (class, name, arity)."""
+        site = (invoke.class_name, invoke.method_name, invoke.arity)
+        if site in self._resolved:
+            return self._resolved[site]
+        method = self.hierarchy.resolve_method(*site)
+        found = None if method is None else (method, method.signature.signature)
+        self._resolved[site] = found
+        return found
+
+    def _callees(self, method: JavaMethod) -> List[Tuple[str, JavaMethod]]:
+        """Call-graph successors: body-carrying resolved targets."""
+        out: Dict[str, JavaMethod] = {}
+        for invoke in ir.iter_invoke_exprs(method.body):
+            if invoke.kind == ir.InvokeKind.DYNAMIC:
+                continue
+            found = self._resolve(invoke)
+            if found is not None and found[0].has_body:
+                out[found[1]] = found[0]
+        return sorted(out.items())
+
+    def _settle(
+        self, component: List[Tuple[str, JavaMethod]], cyclic: bool
+    ) -> None:
+        """Final summaries for one SCC whose callees are all settled."""
+        if not cyclic:
+            ((key, method),) = component
             summary = self._do_method_analysis(method)
-        finally:
-            self._in_progress.pop()
-            self._in_progress_set.discard(key)
-        if key not in self._tainted:
-            # clean: equal to the root analysis of this method, safe to
-            # memoise regardless of where in the chain it was computed
+            self._actions[key] = summary.action
             self._summaries[key] = summary
-        elif is_root:
-            # the root analysis *defines* the final value for a method
-            # in a recursion cycle; memoise it but flag it non-persistable
-            self._summaries[key] = summary
-            self.cycle_tainted.add(key)
-        else:
-            # provisional nested result: reusable for the rest of this
-            # root analysis, then discarded — the method is re-analysed
-            # when visited as its own root
-            self._provisional[key] = summary
-        if is_root:
-            self._tainted.clear()
-            self._provisional.clear()
-        return summary
+            self.work.note_scc(1, 1)
+            return
+        members = sorted(component)
+        if self.scc_order is not None:
+            members = [
+                (m.signature.signature, m)
+                for m in self.scc_order([m for _, m in members])
+            ]
+        for key, method in members:
+            self._actions[key] = Action.identity(method.arity, not method.is_static)
+        walked: Dict[str, MethodSummary] = {}
+        passes = 0
+        changed = True
+        while changed:
+            passes += 1
+            changed = False
+            for key, method in members:
+                summary = self._do_method_analysis(method)
+                action = summary.action
+                if passes > 1:
+                    action = join_actions(self._actions[key], action)
+                if action != self._actions[key]:
+                    self._actions[key] = action
+                    changed = True
+                walked[key] = summary
+        for key, method in members:
+            self._summaries[key] = MethodSummary(
+                method, self._actions[key], walked[key].call_sites
+            )
+        self.work.note_scc(len(members), passes)
 
     # -- phantom / body-less methods ----------------------------------------
 
@@ -307,6 +355,7 @@ class ControllabilityAnalysis:
     # -- Algorithm 1 ---------------------------------------------------------
 
     def _do_method_analysis(self, method: JavaMethod) -> MethodSummary:
+        self.work.method_analyses += 1
         cfg = build_cfg(method)
         local_map = _LocalMap()
         summary = MethodSummary(method, Action())
@@ -421,11 +470,10 @@ class ControllabilityAnalysis:
                     compose = True
                     break
 
-        resolved: Optional[JavaMethod] = None
+        found = None
         if invoke.kind != ir.InvokeKind.DYNAMIC:
-            resolved = self.hierarchy.resolve_method(
-                invoke.class_name, invoke.method_name, invoke.arity
-            )
+            found = self._resolve(invoke)
+        resolved = found[0] if found is not None else None
 
         site = CallSite(
             caller=summary.method,
@@ -444,8 +492,8 @@ class ControllabilityAnalysis:
         if compose:
             # Interprocedural composition (calc + correct).
             if resolved is not None and resolved.has_body:
-                callee_summary = self.summary_for(resolved)
-                action = callee_summary.action
+                # settled callee or, inside a cycle, the current iterate
+                action = self._actions[found[1]]
             elif resolved is not None:
                 action = self._phantom_action(resolved)
             else:

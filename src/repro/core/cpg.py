@@ -22,7 +22,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.controllability import ControllabilityAnalysis, MethodSummary
+from repro.core.controllability import (
+    ControllabilityAnalysis,
+    MethodSummary,
+    SummaryWork,
+)
 from repro.core.parallel import ParallelConfig, parallel_summary_records
 from repro.core.sinks import SinkCatalog
 from repro.core.sources import SourceCatalog
@@ -31,7 +35,6 @@ from repro.core.summary_cache import (
     catalog_token,
     decode_summary,
     dependency_closures,
-    encode_summary,
 )
 from repro.graphdb.graph import Node, PropertyGraph
 from repro.jvm.hierarchy import ClassHierarchy
@@ -87,6 +90,12 @@ class CPGStatistics:
     summary_workers: int = 0
     #: methods analysed by Algorithm 1 this build
     analyzed_method_count: int = 0
+    #: Algorithm 1 body walks this build, fixpoint re-walks included
+    method_analyses: int = 0
+    #: SCCs settled, and the member and pass count of the largest one
+    scc_count: int = 0
+    largest_scc_size: int = 0
+    largest_scc_passes: int = 0
     #: methods whose summaries came from the on-disk cache
     cached_method_count: int = 0
     cache_hits: int = 0
@@ -111,6 +120,11 @@ class CPGStatistics:
         lines.append(
             f"summary methods: {self.analyzed_method_count} analyzed, "
             f"{self.cached_method_count} from cache"
+        )
+        lines.append(
+            f"summary walks: {self.method_analyses} over {self.scc_count} "
+            f"SCCs (largest: {self.largest_scc_size} methods, "
+            f"{self.largest_scc_passes} passes)"
         )
         if self.cache_hits or self.cache_misses:
             lines.append(
@@ -181,7 +195,6 @@ class CPGBuilder:
         prune_uncontrollable_calls: bool = True,
         parallel: Optional[Union[ParallelConfig, int]] = None,
         cache: Optional[Union[SummaryCache, str]] = None,
-        max_recursion_depth: int = 64,
     ):
         self.hierarchy = hierarchy
         self.sinks = sinks if sinks is not None else SinkCatalog()
@@ -200,17 +213,13 @@ class CPGBuilder:
                 cache, catalog_token(self.sinks, self.sources)
             )
         self.cache = cache
-        self.max_recursion_depth = max_recursion_depth
 
         self._graph = PropertyGraph()
         self._class_nodes: Dict[str, Node] = {}
         self._method_nodes: Dict[Tuple[str, str, int], Node] = {}
         self._jar_names: set = set()
-        #: signatures whose summaries involved cycle breaking in the last
-        #: build — root-final but not persistable; the incremental
-        #: analyzer re-derives them on every update, mirroring the cache
-        #: discipline (cycle-tainted entries are never stored either)
-        self.last_tainted: set = set()
+        #: Algorithm 1 work counters of the last summary phase
+        self.last_work = SummaryWork()
 
     # -- public -------------------------------------------------------------
 
@@ -249,6 +258,10 @@ class CPGBuilder:
                 self.parallel.resolved_workers() if self.parallel else 0
             ),
             analyzed_method_count=analyzed,
+            method_analyses=self.last_work.method_analyses,
+            scc_count=self.last_work.scc_count,
+            largest_scc_size=self.last_work.largest_scc_size,
+            largest_scc_passes=self.last_work.largest_scc_passes,
             cached_method_count=cached,
             cache_hits=self.cache.stats.hits if self.cache else 0,
             cache_misses=self.cache.stats.misses if self.cache else 0,
@@ -263,7 +276,7 @@ class CPGBuilder:
 
         The cache is consulted per class; missed classes are analysed
         (serially or across the worker pool) with the hits seeded into
-        the memo table, then written back.  Root-final determinism makes
+        the memo table, then written back.  SCC-final determinism makes
         every combination of {serial, parallel} x {cold, warm} produce
         identical values.
         """
@@ -277,31 +290,39 @@ class CPGBuilder:
 
             class_texts = {cls.name: dump_class(cls) for cls in all_classes}
             closures = dependency_closures(self.hierarchy)
+            hits: Dict[str, List[MethodSummary]] = {}
             for cls in all_classes:
                 key = self.cache.class_key(
                     cls.name, class_texts, closures[cls.name]
                 )
                 class_keys[cls.name] = key
                 records = self.cache.load(key, cls.name)
-                decoded: List[MethodSummary] = []
                 if records is not None:
                     try:
-                        decoded = [
+                        hits[cls.name] = [
                             decode_summary(record, self.hierarchy)
                             for record in records
                         ]
                     except (KeyError, TypeError, ValueError):
-                        records = None  # stale entry: fall back to analysis
-                if records is None:
+                        pass  # stale entry: fall back to analysis
+            # Seeds must cover whole SCCs.  The classes of one recursion
+            # cluster share one dependency closure, so a miss anywhere
+            # in a closure group sends the whole group to analysis.
+            missed_groups = {
+                tuple(closures[cls.name])
+                for cls in all_classes
+                if cls.name not in hits
+            }
+            for cls in all_classes:
+                if tuple(closures[cls.name]) in missed_groups:
                     missed_classes.append(cls)
                 else:
-                    for summary in decoded:
+                    for summary in hits[cls.name]:
                         seeded[summary.method.signature.signature] = summary
         else:
             missed_classes = list(all_classes)
 
         summaries: Dict[str, MethodSummary] = dict(seeded)
-        tainted: set = set()
         missed_methods = [
             m
             for cls in missed_classes
@@ -309,44 +330,29 @@ class CPGBuilder:
             if m.has_body
         ]
 
+        self.last_work = SummaryWork()
         if self.parallel is not None and missed_classes:
-            records, _recursive, par_tainted = parallel_summary_records(
+            records, self.last_work = parallel_summary_records(
                 all_classes,
                 [cls.name for cls in missed_classes],
                 self.parallel,
-                max_recursion_depth=self.max_recursion_depth,
             )
-            tainted = set(par_tainted)
             for record in records:
                 summary = decode_summary(record, self.hierarchy)
                 summaries[summary.method.signature.signature] = summary
         elif missed_classes:
-            analysis = ControllabilityAnalysis(
-                self.hierarchy, max_recursion_depth=self.max_recursion_depth
-            )
+            analysis = ControllabilityAnalysis(self.hierarchy)
             analysis.seed_summaries(seeded.values())
             analysis.analyze_methods(missed_methods)
-            tainted = set(analysis.cycle_tainted)
+            self.last_work = analysis.work
             for method in missed_methods:
                 key = method.signature.signature
                 summaries[key] = analysis.summary_for(method)
 
         if self.cache is not None:
             for cls in missed_classes:
-                keys = [
-                    m.signature.signature
-                    for m in cls.methods.values()
-                    if m.has_body
-                ]
-                if any(key in tainted for key in keys):
-                    self.cache.stats.skipped_tainted += 1
-                    continue
-                records = [
-                    encode_summary(summaries[key]) for key in sorted(keys)
-                ]
-                self.cache.store(class_keys[cls.name], cls.name, records)
+                self.cache.store_class(class_keys[cls.name], cls, summaries)
 
-        self.last_tainted = set(tainted)
         ordered = {key: summaries[key] for key in sorted(summaries)}
         return ordered, len(missed_methods), len(seeded)
 

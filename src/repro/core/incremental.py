@@ -16,8 +16,9 @@ exist (a clean class referencing a dirty one would have the dirty text
 in its closure).  The update therefore:
 
 1. computes the **dirty set** — changed/added/removed classes (by
-   content key) plus the cycle-tainted classes whose summaries are
-   re-derived every build, mirroring the cache discipline;
+   content key); the classes of one recursion cluster share one
+   dependency closure, so a cluster is always dirty or clean as a whole
+   and its SCC-final summaries are re-derived only when it is dirty;
 2. **patches** the :class:`~repro.graphdb.graph.PropertyGraph` in
    place — deletes the dirty classes' slices, garbage-collects phantom
    nodes no longer demanded by any call site, rebuilds only the dirty
@@ -136,6 +137,8 @@ class IncrementalStatistics:
     classes_jar_moved: int = 0
     classes_reanalyzed: int = 0
     methods_reanalyzed: int = 0
+    #: Algorithm 1 body walks, fixpoint re-walks included
+    method_analyses: int = 0
     nodes_deleted: int = 0
     nodes_created: int = 0
     rels_deleted: int = 0
@@ -160,6 +163,7 @@ class IncrementalStatistics:
             "classes_jar_moved": self.classes_jar_moved,
             "classes_reanalyzed": self.classes_reanalyzed,
             "methods_reanalyzed": self.methods_reanalyzed,
+            "method_analyses": self.method_analyses,
             "nodes_deleted": self.nodes_deleted,
             "nodes_created": self.nodes_created,
             "rels_deleted": self.rels_deleted,
@@ -326,7 +330,6 @@ class IncrementalAnalyzer:
         prune_uncontrollable_calls: bool = True,
         cache_dir: Optional[str] = None,
         cache_max_mb: Optional[float] = None,
-        max_recursion_depth: int = 64,
         search: Optional[ChainSearchConfig] = None,
         versioned: bool = False,
         wal_path: Optional[str] = None,
@@ -336,7 +339,6 @@ class IncrementalAnalyzer:
         self.sinks = sinks if sinks is not None else SinkCatalog()
         self.sources = sources if sources is not None else SourceCatalog.extended()
         self.prune_uncontrollable_calls = prune_uncontrollable_calls
-        self.max_recursion_depth = max_recursion_depth
         self.search = search if search is not None else ChainSearchConfig()
         self._token = catalog_token(self.sinks, self.sources)
         self.cache: Optional[SummaryCache] = (
@@ -351,10 +353,6 @@ class IncrementalAnalyzer:
         self.cpg: Optional[CPG] = None
         self.summaries: Dict[str, MethodSummary] = {}
         self.class_keys: Dict[str, str] = {}
-        self.tainted_classes: Set[str] = set()
-        #: signature-level view of the cycle taint, seeded into the
-        #: next update's analysis so nested consults keep re-deriving
-        self.tainted_sigs: Set[str] = set()
         self.chains: List[GadgetChain] = []
         self.last_statistics: Optional[IncrementalStatistics] = None
         self.last_search_stats = SearchStatistics()
@@ -408,7 +406,6 @@ class IncrementalAnalyzer:
             prune_uncontrollable_calls=session.prune_uncontrollable_calls,
             parallel=None,
             cache=session.cache,
-            max_recursion_depth=session.max_recursion_depth,
         )
         summaries, analyzed, cached = builder._compute_summaries()
         statistics = CPGStatistics(
@@ -420,7 +417,7 @@ class IncrementalAnalyzer:
             cached_method_count=cached,
         )
         session.cpg = CPG(graph, hierarchy, statistics, summaries)
-        session._adopt(class_list, hierarchy, summaries, builder.last_tainted)
+        session._adopt(class_list, hierarchy, summaries)
         try:
             session._renumber(hierarchy, summaries)
         except IncrementalError as exc:
@@ -441,10 +438,9 @@ class IncrementalAnalyzer:
             prune_uncontrollable_calls=self.prune_uncontrollable_calls,
             parallel=None,
             cache=self.cache,
-            max_recursion_depth=self.max_recursion_depth,
         )
         self.cpg = builder.build()
-        self._adopt(classes, hierarchy, self.cpg.summaries, builder.last_tainted)
+        self._adopt(classes, hierarchy, self.cpg.summaries)
         self._class_node_ids = {
             name: node.id for name, node in builder._class_nodes.items()
         }
@@ -485,10 +481,9 @@ class IncrementalAnalyzer:
         classes: List[JavaClass],
         hierarchy: ClassHierarchy,
         summaries: Dict[str, MethodSummary],
-        tainted_sigs: Set[str],
     ) -> None:
         """Install a version's classes/hierarchy/summaries plus the
-        derived dirty-set bookkeeping (content keys, tainted owners)."""
+        derived dirty-set bookkeeping (content keys)."""
         from repro.jvm.jasm import dump_class
 
         self.classes = classes
@@ -501,15 +496,6 @@ class IncrementalAnalyzer:
                 cls.name, texts, closures[cls.name], self._token
             )
             for cls in classes
-        }
-        self.tainted_sigs = set(tainted_sigs)
-        self.tainted_classes = {
-            cls.name
-            for cls in classes
-            if any(
-                m.has_body and m.signature.signature in tainted_sigs
-                for m in cls.methods.values()
-            )
         }
 
     # -- search -------------------------------------------------------------
@@ -637,12 +623,6 @@ class IncrementalAnalyzer:
         }
         added = set(new_keys) - set(old_keys)
         removed = set(old_keys) - set(new_keys)
-        # Cycle-tainted classes do NOT need wholesale re-analysis: a
-        # tainted root's re-derivation is a pure function of its
-        # (unchanged) dependency closure, so the previous root-final
-        # summaries are reused, seeded *as tainted* so nested consults
-        # under new dirty roots still re-derive — exactly the cold
-        # semantics, minus the per-update re-derivation cost.
         reanalyze = changed | added
         graph_dirty_old = changed | removed
         graph_dirty_new = changed | added
@@ -713,7 +693,7 @@ class IncrementalAnalyzer:
 
         # -- phase: summary merge ------------------------------------------
         t0 = time.perf_counter()
-        merged, tainted_sigs, reanalyzed_methods = self._merge_summaries(
+        merged, reanalyzed_methods, stats.method_analyses = self._merge_summaries(
             new_hierarchy, new_keys, reanalyze, closures
         )
         if self.cache is not None:
@@ -753,15 +733,6 @@ class IncrementalAnalyzer:
         self.hierarchy = new_hierarchy
         self.summaries = merged
         self.class_keys = new_keys
-        self.tainted_sigs = tainted_sigs
-        self.tainted_classes = {
-            cls.name
-            for cls in class_list
-            if any(
-                m.has_body and m.signature.signature in tainted_sigs
-                for m in cls.methods.values()
-            )
-        }
 
         if txn is not None:
             # publish before searching: the graph is final, so readers
@@ -803,7 +774,7 @@ class IncrementalAnalyzer:
         new_keys: Dict[str, str],
         reanalyze: Set[str],
         closures: Dict[str, List[str]],
-    ) -> Tuple[Dict[str, MethodSummary], Set[str], int]:
+    ) -> Tuple[Dict[str, MethodSummary], int, int]:
         """Clean summaries carried over (rebound to the new hierarchy
         when the class objects differ), dirty classes re-analysed with
         the clean set seeded — the exact cache-warm cold-build recipe,
@@ -838,18 +809,11 @@ class IncrementalAnalyzer:
             for method in new_hierarchy.get(name).methods.values()
             if method.has_body
         ]
-        analysis = ControllabilityAnalysis(
-            new_hierarchy, max_recursion_depth=self.max_recursion_depth
-        )
+        analysis = ControllabilityAnalysis(new_hierarchy)
+        # the clean set covers whole SCCs: a recursion cluster's classes
+        # share one closure, so they are clean or dirty together
         analysis.seed_summaries(seeded.values())
-        # carried tainted finals must stay tainted in the memo: a
-        # nested consult under a dirty root has to re-derive the cycle
-        # member under *its* root's chain, just as a cold build would
-        analysis.cycle_tainted.update(
-            sig for sig in self.tainted_sigs if sig in seeded
-        )
         analysis.analyze_methods(dirty_methods)
-        tainted_sigs = set(analysis.cycle_tainted)
 
         merged = dict(seeded)
         for method in dirty_methods:
@@ -857,22 +821,12 @@ class IncrementalAnalyzer:
 
         if self.cache is not None:
             for name in sorted(reanalyze):
-                cls = new_hierarchy.get(name)
-                keys = [
-                    m.signature.signature
-                    for m in cls.methods.values()
-                    if m.has_body
-                ]
-                if any(key in tainted_sigs for key in keys):
-                    self.cache.stats.skipped_tainted += 1
-                    continue
-                records = [
-                    encode_summary(merged[key]) for key in sorted(keys)
-                ]
-                self.cache.store(new_keys[name], name, records)
+                self.cache.store_class(
+                    new_keys[name], new_hierarchy.get(name), merged
+                )
 
         ordered = {key: merged[key] for key in sorted(merged)}
-        return ordered, tainted_sigs, len(dirty_methods)
+        return ordered, len(dirty_methods), analysis.work.method_analyses
 
     # -- graph patch --------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Parallel, shard-based controllability analysis.
 
-Per-method controllability analysis (Algorithm 1) is independent across
-methods once summaries are root-final (see the determinism contract in
-:mod:`repro.core.controllability`), so the summary phase of a CPG build
-shards cleanly across a ``ProcessPoolExecutor``:
+Every controllability summary is SCC-final — a pure function of its
+recursion cluster's bodies and its callees (see the determinism
+contract in :mod:`repro.core.controllability`) — so the summary phase
+of a CPG build shards cleanly across a ``ProcessPoolExecutor``:
 
 1. classes are packed into ``workers * shards_per_worker`` shards with
    a deterministic greedy longest-processing-time heuristic (statement
@@ -15,10 +15,9 @@ shards cleanly across a ``ProcessPoolExecutor``:
    :mod:`repro.core.summary_cache`), which the parent decodes against
    its own hierarchy and merges in shard order.
 
-Because every summary is a pure function of (method, hierarchy), the
-merged result is bit-identical to the serial pipeline regardless of
-worker count, shard layout, or scheduling — the differential harness in
-``tests/core/test_parallel_equivalence.py`` asserts exactly that.
+The merged result is bit-identical to the serial pipeline regardless
+of worker count, shard layout, or scheduling — the differential harness
+in ``tests/core/test_parallel_equivalence.py`` asserts exactly that.
 
 On platforms with ``fork`` (Linux), workers inherit the parent's parsed
 classes copy-on-write and pay no serialisation cost; elsewhere the
@@ -32,9 +31,9 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.controllability import ControllabilityAnalysis
+from repro.core.controllability import ControllabilityAnalysis, SummaryWork
 from repro.core.summary_cache import encode_summary
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.model import JavaClass
@@ -80,11 +79,11 @@ class ParallelConfig:
 
 @dataclass
 class ShardResult:
-    """What one worker task sends back to the parent."""
+    """What one worker task sends back to the parent: the records plus
+    the Algorithm 1 work this shard added."""
 
     records: List[Dict[str, object]]
-    recursive_methods: List[str]
-    cycle_tainted: List[str]
+    work: SummaryWork
 
 
 def _class_cost(cls: JavaClass) -> int:
@@ -120,7 +119,7 @@ _FORK_CLASSES: Optional[List[JavaClass]] = None
 _WORKER_ANALYSIS: Optional[ControllabilityAnalysis] = None
 
 
-def _worker_init(jasm_text: Optional[str], max_recursion_depth: int) -> None:
+def _worker_init(jasm_text: Optional[str]) -> None:
     """Build the hierarchy and analysis once per worker process."""
     global _WORKER_ANALYSIS
     if jasm_text is None:
@@ -132,14 +131,12 @@ def _worker_init(jasm_text: Optional[str], max_recursion_depth: int) -> None:
 
         classes = jasm.loads(jasm_text)
     hierarchy = ClassHierarchy(classes)
-    _WORKER_ANALYSIS = ControllabilityAnalysis(
-        hierarchy, max_recursion_depth=max_recursion_depth
-    )
+    _WORKER_ANALYSIS = ControllabilityAnalysis(hierarchy)
 
 
 def _analyze_shard(class_names: Sequence[str]) -> ShardResult:
-    """Analyse every body-carrying method of the shard's classes as a
-    root, in canonical order, and encode the results."""
+    """Analyse every body-carrying method of the shard's classes, in
+    canonical order, and encode the results."""
     analysis = _WORKER_ANALYSIS
     assert analysis is not None, "worker pool not initialised"
     methods = []
@@ -148,17 +145,12 @@ def _analyze_shard(class_names: Sequence[str]) -> ShardResult:
         if cls is None:  # pragma: no cover - shard planner uses defined names
             continue
         methods.extend(m for m in cls.methods.values() if m.has_body)
-    records: List[Dict[str, object]] = []
-    keys: Set[str] = set()
-    for method in ControllabilityAnalysis.method_order(methods):
-        summary = analysis.summary_for(method)
-        records.append(encode_summary(summary))
-        keys.add(method.signature.signature)
-    return ShardResult(
-        records=records,
-        recursive_methods=sorted(analysis.recursive_methods & keys),
-        cycle_tainted=sorted(analysis.cycle_tainted & keys),
-    )
+    analysis.work = SummaryWork()  # count this shard's work only
+    records = [
+        encode_summary(analysis.summary_for(method))
+        for method in ControllabilityAnalysis.method_order(methods)
+    ]
+    return ShardResult(records=records, work=analysis.work)
 
 
 # ---------------------------------------------------------------------------
@@ -170,33 +162,31 @@ def parallel_summary_records(
     classes: Sequence[JavaClass],
     target_class_names: Sequence[str],
     config: ParallelConfig,
-    max_recursion_depth: int = 64,
-) -> Tuple[List[Dict[str, object]], Set[str], Set[str]]:
+) -> Tuple[List[Dict[str, object]], SummaryWork]:
     """Analyse the methods of ``target_class_names`` across a worker
     pool over the full ``classes`` classpath.
 
-    Returns ``(records, recursive_methods, cycle_tainted)`` where
-    ``records`` covers every body-carrying method of the target classes,
-    merged in deterministic shard order.
+    Returns ``(records, work)``: ``records`` covers every body-carrying
+    method of the target classes, merged in deterministic shard order;
+    ``work`` merges the shards' Algorithm 1 work counters.
     """
     global _FORK_CLASSES
     workers = config.resolved_workers()
     targets = [cls for cls in classes if cls.name in set(target_class_names)]
     shards = plan_shards(targets, workers * config.shards_per_worker)
+    work = SummaryWork()
     if not shards:
-        return [], set(), set()
+        return [], work
     start_method = config.resolved_start_method()
     ctx = multiprocessing.get_context(start_method)
     if start_method == "fork":
-        initargs: Tuple[Optional[str], int] = (None, max_recursion_depth)
+        initargs: Tuple[Optional[str]] = (None,)
         _FORK_CLASSES = list(classes)
     else:
         from repro.jvm import jasm
 
-        initargs = (jasm.dumps(classes), max_recursion_depth)
+        initargs = (jasm.dumps(classes),)
     records: List[Dict[str, object]] = []
-    recursive: Set[str] = set()
-    tainted: Set[str] = set()
     try:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(shards)),
@@ -206,8 +196,7 @@ def parallel_summary_records(
         ) as pool:
             for result in pool.map(_analyze_shard, shards, chunksize=config.chunksize):
                 records.extend(result.records)
-                recursive.update(result.recursive_methods)
-                tainted.update(result.cycle_tainted)
+                work.merge(result.work)
     finally:
         _FORK_CLASSES = None
-    return records, recursive, tainted
+    return records, work

@@ -19,10 +19,12 @@ The cache is safe by construction:
 
 * any load failure (missing file, corrupt JSON, schema drift, stale
   method references) degrades to a cache miss, never an error;
-* summaries flagged :attr:`ControllabilityAnalysis.cycle_tainted` are
-  never persisted: their values involve cycle breaking, and seeding
-  them into a later build could perturb the deterministic re-analysis
-  of their cycle partners;
+* every class is persistable, recursion clusters included: summaries
+  are SCC-final (see :mod:`repro.core.controllability`), a pure
+  function of the cluster's bodies and its callees, all inside the
+  dependency closure the key covers.  The classes of one cluster share
+  one closure, and the builder re-analyses a closure group whole when
+  any of its classes misses, so seeds always cover whole SCCs;
 * writes are atomic (temp file + rename), so a crashed build leaves at
   worst a stale temp file, not a truncated entry.
 
@@ -324,7 +326,6 @@ class SummaryCacheStats:
         self.misses = 0
         self.corrupt = 0
         self.stored = 0
-        self.skipped_tainted = 0
         self.invalidated = 0
         self.evicted = 0
 
@@ -334,7 +335,6 @@ class SummaryCacheStats:
             "cache_misses": self.misses,
             "cache_corrupt": self.corrupt,
             "cache_stored": self.stored,
-            "cache_skipped_tainted": self.skipped_tainted,
             "cache_invalidated": self.invalidated,
             "cache_evicted": self.evicted,
         }
@@ -457,6 +457,15 @@ class SummaryCache:
         self.stats.stored += 1
         if self.max_mb is not None:
             self._enforce_size_cap(keep=key)
+
+    def store_class(
+        self, key: str, cls: JavaClass, summaries: Dict[str, MethodSummary]
+    ) -> None:
+        """Persist the summaries of ``cls``'s body-carrying methods."""
+        keys = sorted(
+            m.signature.signature for m in cls.methods.values() if m.has_body
+        )
+        self.store(key, cls.name, [encode_summary(summaries[k]) for k in keys])
 
     # -- invalidation / eviction ------------------------------------------
 

@@ -67,6 +67,7 @@ import zlib
 from array import array
 from collections import Counter
 from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.errors import GraphError, StorageError
@@ -802,12 +803,29 @@ def _canonical(obj: Any) -> str:
     ``repr`` of two ``==`` dicts can differ (a COW-committed graph and
     its reloaded base snapshot build their dicts in different orders),
     so the digest must sort dict items; sequences keep their order.
+
+    Every WAL compaction digests the whole graph, so the exact builtin
+    scalar and container types take a fast path that skips the
+    ``isinstance`` chain and one call per scalar; subclasses fall
+    through to the general rules and serialize the same way.
     """
+    kind = type(obj)
+    if kind in _SCALARS:
+        return repr(obj)
+    if kind is list or kind is tuple:
+        inner = ",".join([
+            repr(x) if type(x) in _SCALARS else _canonical(x) for x in obj
+        ])
+        return f"[{inner}]" if kind is list else f"({inner})"
     if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: repr(kv[0]))
-        return "{" + ",".join(
-            f"{_canonical(k)}:{_canonical(v)}" for k, v in items
-        ) + "}"
+        # stable sort on the key's repr, exactly as sorting the items
+        items = sorted(zip(map(repr, obj), obj, obj.values()), key=_first)
+        return "{" + ",".join([
+            (rk if type(k) in _SCALARS else _canonical(k))
+            + ":"
+            + (repr(v) if type(v) in _SCALARS else _canonical(v))
+            for rk, k, v in items
+        ]) + "}"
     if isinstance(obj, tuple):
         return "(" + ",".join(_canonical(x) for x in obj) + ")"
     if isinstance(obj, list):
@@ -815,6 +833,11 @@ def _canonical(obj: Any) -> str:
     if isinstance(obj, (set, frozenset)):
         return "{" + ",".join(sorted(_canonical(x) for x in obj)) + "}"
     return repr(obj)
+
+
+#: exact types whose canonical form is their ``repr``
+_SCALARS = frozenset({str, int, bool, float, bytes, type(None)})
+_first = itemgetter(0)
 
 
 def fingerprint_digest(graph: PropertyGraph) -> str:

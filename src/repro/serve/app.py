@@ -27,7 +27,9 @@ Routes::
                                     (+ the live graph's version and
                                     memoised fingerprint in --live mode)
 
-Error contract: 400 malformed body or query, 404 unknown job or route,
+Error contract: 400 malformed body or query, 404 unknown job or route
+(or a done job retired because the store evicted its result —
+"result evicted; resubmit"),
 405 wrong method, 409 results requested before the job is done (or
 deleting a running job), 429 rate-limited (with ``Retry-After``),
 503 shutting down or queue full.  Every response body is JSON.
@@ -182,9 +184,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError(f"malformed JSON body: {exc}")
 
     def _job_or_404(self, job_id: str):
-        job = self.server.manager.get(job_id)
+        manager = self.server.manager
+        job = manager.get(job_id)
         if job is None:
-            self._error(404, f"no such job: {job_id}")
+            if manager.retired(job_id):
+                self._error(404, f"job {job_id}: result evicted; resubmit")
+            else:
+                self._error(404, f"no such job: {job_id}")
         return job
 
     # -- routing -----------------------------------------------------------

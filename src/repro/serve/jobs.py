@@ -34,6 +34,7 @@ import os
 import queue
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -60,6 +61,9 @@ __all__ = [
 ]
 
 _SENTINEL = object()
+
+#: how many retired job ids :meth:`JobManager.retired` remembers
+RETIRED_IDS_KEPT = 4096
 
 _LOG = logging.getLogger("repro.serve.jobs")
 
@@ -495,6 +499,9 @@ class JobManager:
         self.store.on_evict = self._result_evicted
         self._queue: "queue.Queue[Any]" = queue.Queue()
         self._jobs: Dict[str, Job] = {}
+        #: ids of done jobs retired with their evicted result, newest
+        #: last and capped, so lookups can tell "evicted" from "unknown"
+        self._retired: "OrderedDict[str, None]" = OrderedDict()
         self._active: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -582,6 +589,12 @@ class JobManager:
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
             return self._jobs.get(job_id)
+
+    def retired(self, job_id: str) -> bool:
+        """Whether ``job_id`` finished but was retired when the store
+        evicted its result (resubmitting recomputes it)."""
+        with self._lock:
+            return job_id in self._retired
 
     def jobs(self) -> List[Job]:
         with self._lock:
@@ -849,8 +862,24 @@ class JobManager:
         return graph
 
     def _result_evicted(self, key: str, result: JobResult) -> None:
-        """Result-store eviction hook: retire the opened snapshot graph
-        once no stored result references its file version any more."""
+        """Result-store eviction hook: retire the done jobs that serve
+        the evicted result, and the opened snapshot graph once no stored
+        result references its file version any more.
+
+        A done job holds its result (CPG graph included), so keeping
+        the record would defeat the store's capacity bound.  The
+        manager only mutates the store — ``put`` in :meth:`_run_job`,
+        ``evict`` in :meth:`delete` — while holding ``_lock``, so the
+        job table is edited here without re-taking it."""
+        for job_id in [
+            job_id
+            for job_id, job in self._jobs.items()
+            if job.key == key and job.state == JobState.DONE
+        ]:
+            del self._jobs[job_id]
+            self._retired[job_id] = None
+            if len(self._retired) > RETIRED_IDS_KEPT:
+                self._retired.popitem(last=False)
         with self._snap_lock:
             token = self._snapshot_tokens.pop(key, None)
             if token is not None:

@@ -152,12 +152,13 @@ class JobResult:
 class ResultStore:
     """A thread-safe LRU map ``content hash -> JobResult``.
 
-    Eviction only ever forgets *cached* work — a completed job keeps a
-    direct reference to its own result, so polling an existing job
-    never loses data; eviction merely means the next identical
-    submission recomputes (the hypothesis battery in
-    ``tests/serve/test_store_properties.py`` pins both halves of that
-    contract).
+    The store bounds what the service keeps: when it evicts a result,
+    the job manager retires the done jobs that served it (their
+    records held the result, CPG graph included), so ``GET /jobs/<id>``
+    answers 404 "result evicted; resubmit" and the next identical
+    submission recomputes.  A job the manager still returns always has
+    its full result, never a partial one (the hypothesis battery in
+    ``tests/serve/test_store_properties.py`` pins that contract).
     """
 
     def __init__(self, capacity: int = 256, on_evict: Optional[Any] = None):

@@ -12,6 +12,7 @@ from repro.core.actions import (
     UNCTRL,
     calc,
     join,
+    join_actions,
     param,
     param_field,
     this_field,
@@ -80,6 +81,23 @@ class TestAction:
         a = Action()
         a.set("return", param(1))
         assert Action(a.to_property()) == a
+
+    def test_join_actions_only_lowers_weights(self):
+        old = Action({"return": "null", "final-param-1": "init-param-2",
+                      "this": "this.f", "this.x": "init-param-1"})
+        new = Action({"return": "init-param-1", "final-param-1": "init-param-1",
+                      "this": "this", "final-param-2": "null"})
+        assert join_actions(old, new).mapping == {
+            "return": "init-param-1",          # ∞ -> controllable
+            "final-param-1": "init-param-1",   # weight 2 -> 1
+            "this": "this.f",                  # equal weight keeps the old
+            "this.x": "init-param-1",          # keys only in one side stay
+            "final-param-2": "null",
+        }
+        # a join never raises a weight, so joining back changes nothing
+        joined = join_actions(old, new)
+        assert join_actions(joined, old) == joined
+        assert join_actions(joined, new) == joined
 
 
 class TestCalc:

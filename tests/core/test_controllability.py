@@ -1,9 +1,14 @@
 """Unit tests for Algorithm 1 beyond the Figure 5 walkthrough."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.core.actions import UNCONTROLLABLE_WEIGHT
 from repro.core.controllability import ControllabilityAnalysis
+from repro.corpus import COMPONENT_NAMES, build_component, build_lang_base
 from repro.jvm.builder import ProgramBuilder
 from repro.jvm.hierarchy import ClassHierarchy
 
@@ -252,3 +257,184 @@ class TestInterprocedural:
         s = summary(analyze(build), "t.C", "m")
         assert s.call_sites[0].kind == "dynamic"
         assert s.call_sites[0].resolved is None
+
+
+# ---------------------------------------------------------------------------
+# SCC scheduling: one walk per acyclic method, fixpoint per cluster
+# ---------------------------------------------------------------------------
+
+
+def summaries_digest(summaries):
+    """sha256 over every Action and every call site's PP/pruned flag."""
+    view = [
+        [
+            key,
+            s.action.to_property(),
+            [
+                [c.site_index, c.callee_class, c.callee_name, c.arity,
+                 c.polluted_position, c.pruned]
+                for c in s.call_sites
+            ],
+        ]
+        for key, s in summaries.items()
+    ]
+    return hashlib.sha256(json.dumps(view, sort_keys=True).encode()).hexdigest()
+
+
+#: ``summaries_digest`` of the merged 26-component corpus under the
+#: root-final memo this scheduler replaced: the SCC fixpoint changes no
+#: Action and no call-site PP on the corpus
+MERGED_CORPUS_DIGEST = (
+    "ed39f3783624633f62acb2c50da9cb186c4c1ec663a88544c1ac10813ae4705d"
+)
+
+
+@pytest.fixture(scope="module")
+def merged_hierarchy():
+    classes = build_lang_base()
+    for name in COMPONENT_NAMES:
+        classes += build_component(name).classes
+    return ClassHierarchy(classes)
+
+
+class TestSccSchedule:
+    def test_merged_corpus_summaries_are_pinned(self, merged_hierarchy):
+        summaries = ControllabilityAnalysis(merged_hierarchy).analyze_all()
+        assert summaries_digest(summaries) == MERGED_CORPUS_DIGEST
+
+    def test_walks_scale_with_methods(self, merged_hierarchy):
+        analysis = ControllabilityAnalysis(merged_hierarchy)
+        analysis.analyze_all()
+        body_methods = sum(
+            m.has_body for m in merged_hierarchy.all_methods()
+        )
+        work = analysis.work
+        assert work.method_analyses <= 1.2 * body_methods
+        # the Serianalyzer bomb's 30-method cliques are real SCCs
+        assert work.largest_scc_size == 30
+        assert work.largest_scc_passes >= 1
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_in_scc_visit_order_is_irrelevant(self, merged_hierarchy, order):
+        rng = random.Random(13)
+
+        def permute(members):
+            out = list(reversed(members))
+            if order == "shuffled":
+                rng.shuffle(out)
+            return out
+
+        summaries = ControllabilityAnalysis(
+            merged_hierarchy, scc_order=permute
+        ).analyze_all()
+        assert summaries_digest(summaries) == MERGED_CORPUS_DIGEST
+
+    def test_cluster_settles_against_later_partner(self):
+        """t.C.f sorts before t.C.g but returns g's result: the first
+        pass sees g's identity Action (return null), so only a second
+        pass gets f right — and f's call sites come from that pass."""
+
+        def build(pb):
+            with pb.cls("t.C") as c:
+                with c.method("f", params=["java.lang.Object"],
+                              returns="java.lang.Object") as m:
+                    r = m.invoke(m.this, "t.C", "g", [m.param(1)],
+                                 returns="java.lang.Object")
+                    m.invoke(r, "java.lang.Object", "toString",
+                             returns="java.lang.String")
+                    m.ret(r)
+                with c.method("g", params=["java.lang.Object"],
+                              returns="java.lang.Object") as m:
+                    m.invoke(m.this, "t.C", "f", [m.param(1)],
+                             returns="java.lang.Object")
+                    m.ret(m.param(1))
+
+        pb = ProgramBuilder()
+        build(pb)
+        analysis = ControllabilityAnalysis(ClassHierarchy(pb.build()))
+        summaries = analysis.analyze_all()
+        f = summary(summaries, "t.C", "f")
+        assert f.action.mapping["return"] == "init-param-1"
+        (to_string,) = [c for c in f.call_sites if c.callee_name == "toString"]
+        assert to_string.polluted_position == [1] and not to_string.pruned
+        assert analysis.work.largest_scc_size == 2
+        assert analysis.work.largest_scc_passes == 3
+        assert analysis.work.method_analyses == 6
+
+    def test_join_keeps_the_most_controllable_iterate(self):
+        """Iterates are joined from the second pass on: once t.D.f's
+        return was init-param-1, a later pass in which g's real Action
+        overwrites f's parameter with an uncontrollable value cannot
+        raise the weight back to ∞ — the over-approximating direction,
+        and the reason the passes terminate."""
+
+        def build(pb):
+            with pb.cls("t.D") as c:
+                with c.method("f", params=["java.lang.Object"],
+                              returns="java.lang.Object") as m:
+                    fresh = m.new("t.D")
+                    m.invoke(m.this, "t.D", "g", [m.param(1), fresh])
+                    m.ret(m.param(1))
+                with c.method("g", params=["java.lang.Object",
+                                           "java.lang.Object"]) as m:
+                    m.invoke(m.this, "t.D", "f", [m.param(1)],
+                             returns="java.lang.Object")
+                    m.assign(m.param(1), m.param(2))
+
+        pb = ProgramBuilder()
+        build(pb)
+        analysis = ControllabilityAnalysis(ClassHierarchy(pb.build()))
+        summaries = analysis.analyze_all()
+        assert summary(summaries, "t.D", "g").action.mapping[
+            "final-param-1"] == "init-param-2"
+        assert summary(summaries, "t.D", "f").action.mapping[
+            "return"] == "init-param-1"
+        assert analysis.work.largest_scc_passes == 2
+
+    def test_deep_acyclic_chain_needs_no_recursion(self):
+        """10^4 nested calls: the schedule keeps its own stack."""
+        depth, per_class = 10_000, 100
+        pb = ProgramBuilder()
+
+        def owner(i):
+            return f"t.Chain{i // per_class}"
+
+        for k in range(depth // per_class):
+            with pb.cls(f"t.Chain{k}") as c:
+                for i in range(k * per_class, (k + 1) * per_class):
+                    with c.method(f"m{i}", params=["java.lang.Object"],
+                                  returns="java.lang.Object") as m:
+                        if i + 1 < depth:
+                            out = m.invoke(m.param(1), owner(i + 1), f"m{i + 1}",
+                                           [m.param(1)], returns="java.lang.Object")
+                            m.ret(out)
+                        else:
+                            m.ret(m.param(1))
+        hierarchy = ClassHierarchy(pb.build())
+        analysis = ControllabilityAnalysis(hierarchy)
+        root = hierarchy.get("t.Chain0").find_method("m0", 1)
+        s = analysis.summary_for(root)
+        # the leaf's parameter flows all the way back to the root
+        assert s.action.mapping["return"] == "init-param-1"
+        assert s.call_sites[0].polluted_position == [1, 1]
+        assert analysis.work.method_analyses == depth
+
+    def test_large_clique_settles(self):
+        size = 200
+        pb = ProgramBuilder()
+        with pb.cls("t.Clique") as c:
+            c.field("f", "java.lang.Object")
+            for i in range(size):
+                with c.method(f"s{i}", params=["java.lang.Object"],
+                              returns="java.lang.Object") as m:
+                    out = m.param(1)
+                    for j in range(size):
+                        if j != i:
+                            out = m.invoke(m.this, "t.Clique", f"s{j}", [out],
+                                           returns="java.lang.Object")
+                    m.ret(out)
+        analysis = ControllabilityAnalysis(ClassHierarchy(pb.build()))
+        summaries = analysis.analyze_all()
+        assert len(summaries) == size
+        assert analysis.work.largest_scc_size == size
+        assert analysis.work.scc_count == 1

@@ -270,32 +270,47 @@ class TestCorpusDifferential:
         assert stats.sinks_reused > 0
         assert_equivalent(session, reparse(classes), "corpus revert")
 
-    def test_cycle_tainted_summaries_are_reused_not_reanalyzed(self):
-        """The Clojure component's recursion clusters are cycle-tainted
-        (never cached); a clean update must still reuse their root-final
-        summaries instead of re-deriving the whole cluster, and stay
-        bit-identical to a cold rebuild."""
+    def test_recursion_clusters_are_not_rewalked(self, monkeypatch):
+        """The Clojure component's recursion clusters are SCC-final: an
+        edit outside a cluster's dependency closure must re-walk no
+        cluster member, and stay bit-identical to a cold rebuild."""
+        from repro.core.controllability import ControllabilityAnalysis
+        from repro.core.summary_cache import dependency_closures
+
         classes = build_lang_base() + list(build_component("Clojure").classes)
         session = IncrementalAnalyzer(classes)
-        assert session.tainted_classes, "Clojure must produce cycle taint"
-        tainted_before = set(session.tainted_sigs)
+        cluster = {c.name for c in classes if ".Dispatcher" in c.name}
+        assert cluster, "Clojure must plant recursion clusters"
+        assert session.cpg.statistics.largest_scc_size >= 30
+        closures = dependency_closures(session.hierarchy)
 
         edited = [copy.deepcopy(c) for c in reparse(classes)]
         target = next(
             c for c in edited
-            if c.name not in session.tainted_classes
+            if c.name not in cluster
             and c.name != "java.lang.Object"
             and sum(m.has_body for m in c.methods.values()) > 1
+            and not any(c.name in closures[name] for name in cluster)
         )
         victim = [k for k, m in target.methods.items() if m.has_body][-1]
         del target.methods[victim]
-        assert_equivalent(session, edited, "edit outside the cycle")
+
+        walked = []
+        real_walk = ControllabilityAnalysis._do_method_analysis
+
+        def spy(analysis, method):
+            walked.append(method.class_name)
+            return real_walk(analysis, method)
+
+        monkeypatch.setattr(ControllabilityAnalysis, "_do_method_analysis", spy)
+        session.update(edited)
+        monkeypatch.undo()
         stats = session.last_statistics
-        # the edit dirties only its closure dependents — the tainted
-        # clusters ride along as seeded summaries instead of being
-        # re-derived wholesale
+        assert not stats.full_rebuild
         assert 0 < stats.classes_reanalyzed < len(classes) // 2
-        assert session.tainted_sigs == tainted_before
+        assert walked and not cluster & set(walked)
+        assert stats.method_analyses == len(walked)
+        assert_equivalent(session, edited, "edit outside the cycle")
 
 
 class TestFallback:

@@ -1,6 +1,6 @@
 """Differential harness: every CPG build mode reproduces the serial one.
 
-The determinism contract (root-final summaries, see
+The determinism contract (SCC-final summaries, see
 ``repro.core.controllability``) promises that sharding the summary
 phase across worker processes and/or seeding it from the on-disk cache
 changes *nothing* — not just the chain results but the entire graph:

@@ -26,8 +26,10 @@ from repro.core.summary_cache import (
     encode_summary,
 )
 from repro.corpus import build_component, build_lang_base
+from repro.graphdb.snapshot import graph_fingerprint
 from repro.jvm.builder import ProgramBuilder
 from repro.jvm.hierarchy import ClassHierarchy
+from repro.jvm.jasm import dump_class
 from repro.jvm.model import SERIALIZABLE
 
 
@@ -282,20 +284,50 @@ class TestWarmRunIdentity:
         )
 
 
-class TestCycleTaint:
-    def test_cycle_tainted_classes_never_persisted(self, tmp_path):
-        """The bomb component's recursion clusters must be re-analysed
-        every build — persisting them could perturb cycle partners."""
+class TestRecursionClusters:
+    def test_cluster_classes_are_persisted(self, tmp_path):
+        """The bomb component's recursion clusters are SCC-final, so
+        they are persisted like any other class: a warm build misses
+        nothing and analyses nothing, with an identical graph."""
         classes = build_lang_base() + build_component("Clojure").classes
         cold = SummaryCache(str(tmp_path))
-        build(classes, cold)
-        assert cold.stats.skipped_tainted > 0
+        cold_cpg = build(classes, cold)
+        assert cold_cpg.statistics.largest_scc_size >= 30  # a real cluster
+        assert cold.stats.stored == len(classes)
         warm = SummaryCache(str(tmp_path))
         cpg = build(classes, warm)
-        assert warm.stats.hits > 0
-        # the cluster classes miss by design and are re-analysed
-        assert warm.stats.misses == cold.stats.skipped_tainted
-        assert cpg.statistics.analyzed_method_count > 0
+        assert warm.stats.misses == 0
+        assert warm.stats.hits == len(classes)
+        assert cpg.statistics.analyzed_method_count == 0
+        assert graph_fingerprint(cpg.graph) == graph_fingerprint(cold_cpg.graph)
+
+    def test_partial_cluster_hit_reanalyses_the_whole_cluster(self, tmp_path):
+        """Seeds must cover whole SCCs: when one class of a cross-class
+        recursion cluster misses, its partner is re-analysed with it,
+        never settled against the partner's cached values."""
+        pb = ProgramBuilder()
+        for name, other in (("t.A", "t.B"), ("t.B", "t.A")):
+            with pb.cls(name) as c:
+                c.field("next", "java.lang.Object")
+                with c.method("step", params=["java.lang.Object"],
+                              returns="java.lang.Object") as m:
+                    out = m.invoke(m.param(1), other, "step", [m.param(1)],
+                                   returns="java.lang.Object")
+                    m.set_field(m.this, "next", out)
+                    m.ret(out)
+        classes = pb.build()
+        cold = SummaryCache(str(tmp_path))
+        cold_cpg = build(classes, cold)
+        assert cold_cpg.statistics.largest_scc_size == 2
+        hierarchy = ClassHierarchy(classes)
+        closures = dependency_closures(hierarchy)
+        texts = {c.name: dump_class(c) for c in classes}
+        os.unlink(cold._path(cold.class_key("t.A", texts, closures["t.A"])))
+        warm = SummaryCache(str(tmp_path))
+        cpg = build(classes, warm)
+        assert (warm.stats.hits, warm.stats.misses) == (1, 1)
+        assert cpg.statistics.analyzed_method_count == 2  # A.step and B.step
+        assert graph_fingerprint(cpg.graph) == graph_fingerprint(cold_cpg.graph)
 
 
 class TestInvalidate:

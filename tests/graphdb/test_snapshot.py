@@ -1,5 +1,7 @@
 """Unit tests for the v2 binary columnar snapshot codec."""
 
+import collections
+import enum
 import gzip
 import json
 import struct
@@ -14,7 +16,9 @@ from repro.graphdb.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     decode_snapshot,
+    _canonical,
     encode_snapshot,
+    fingerprint_digest,
     graph_fingerprint,
 )
 from repro.graphdb.storage import load_graph, save_graph
@@ -206,3 +210,37 @@ class TestAutoDetect:
         save_graph(g, str(binary), format="binary")
         save_graph(g, str(text), format="json")
         assert binary.stat().st_size < text.stat().st_size
+
+
+class _Kind(enum.IntEnum):
+    A = 1
+
+
+_Pair = collections.namedtuple("_Pair", "left right")
+
+
+class _Name(str):
+    pass
+
+
+class TestFingerprintDigest:
+    """The digest is persisted in WAL base records, so its canonical
+    form must never drift."""
+
+    def test_digest_is_pinned(self):
+        assert fingerprint_digest(rich_graph()) == (
+            "3202cd82ceadcddd1d75e429c6500d807edb1a8e58e1a8f0e4282d659c7d8735"
+        )
+
+    def test_subclasses_serialize_like_their_bases(self):
+        value = {
+            "b": [1, (2, "x"), None],
+            "a": {3, "q"},
+            2: _Pair(_Kind.A, [1.5, b"z"]),
+            (1, True): frozenset({"s"}),
+            "c": collections.OrderedDict([("z", _Name("n")), ("y", {})]),
+        }
+        assert _canonical(value) == (
+            "{'a':{'q',3},'b':[1,(2,'x'),None],'c':{'y':{},'z':'n'},"
+            "(1,True):{'s'},2:(<_Kind.A: 1>,[1.5,b'z'])}"
+        )

@@ -116,7 +116,7 @@ def test_seed_mutual_recursion_is_visit_order_independent():
     """Regression seed: under memoise-everything semantics, whichever
     cycle member was visited first kept a summary computed against the
     other's provisional identity — so A-first and B-first runs diverged.
-    Root-final memoisation makes both orders identical."""
+    SCC-final settling makes both orders identical."""
     from repro.core.controllability import ControllabilityAnalysis
     from repro.jvm.hierarchy import ClassHierarchy
 
@@ -131,7 +131,9 @@ def test_seed_mutual_recursion_is_visit_order_independent():
                     analysis.summary_for(method)
         summaries = analysis.analyze_all()
         views.append({k: _summary_view(s) for k, s in summaries.items()})
-        assert analysis.cycle_tainted, "seed must actually contain a cycle"
+        # the seed must actually contain a cycle: A.step and B.step
+        # form one SCC
+        assert analysis.work.largest_scc_size == 2
     assert views[0] == views[1]
 
 

@@ -95,6 +95,19 @@ class TestJobLifecycle:
         client.poll_done(again["id"])
         assert server.manager.computed == computed_before + 1
 
+    def test_evicted_result_retires_its_done_jobs(self, client):
+        bundle = gadget_bundle("retired")
+        _, first, _ = client.submit(bundle)
+        client.poll_done(first["id"])
+        code, twin, _ = client.submit(bundle)
+        assert code == 200 and twin["status"] == "cached"
+        # purging the result also retires the cached twin serving it
+        client.request("DELETE", f"/jobs/{first['id']}?purge=1")
+        for path in (f"/jobs/{twin['id']}", f"/jobs/{twin['id']}/chains"):
+            code, err, _ = client.request("GET", path)
+            assert code == 404, path
+            assert "result evicted; resubmit" in err["error"]
+
     def test_components_submission_matches_direct_run(self, client):
         code, doc, _ = client.submit(
             components=["CommonsBeanutils1"], options={"sources": "extended"}

@@ -4,9 +4,10 @@ Two contracts, pinned over random submit/poll/evict/delete
 interleavings (run against an *inline* manager so every interleaving
 is deterministic):
 
-* a completed job never loses its result — store eviction (explicit or
-  LRU) only ever forgets *cached* work, so polling any non-deleted
-  done job keeps returning the full result;
+* the store bounds what the service keeps: when it evicts a result
+  (explicit or LRU), the done jobs serving it are retired — gone from
+  the manager, reported as retired — and a job the manager still
+  returns always has its full result, never a partial one;
 * every result a client can observe — fresh compute, warm-cache hit,
   or post-evict recompute — is fingerprint-identical to a direct
   recompute of the same bundle (``graph_fingerprint`` digest and chain
@@ -65,7 +66,7 @@ ops = st.lists(
 @given(ops=ops)
 def test_interleavings_never_lose_completed_results(ops):
     manager = JobManager(workers=1, inline=True, store=ResultStore(capacity=2))
-    live = []  # (tag, job) pairs not yet deleted
+    live = []  # (tag, job) pairs not yet deleted or retired
     new_computes = 0
     for op, arg in ops:
         if op == "submit":
@@ -84,17 +85,26 @@ def test_interleavings_never_lose_completed_results(ops):
                 tag, job = live.pop(arg % len(live))
                 assert manager.delete(job.id) == "deleted"
                 assert manager.get(job.id) is None
+                assert not manager.retired(job.id)
         else:  # poll
             if live:
                 tag, job = live[arg % len(live)]
-                polled = manager.get(job.id)
-                assert polled is job
+                assert manager.get(job.id) is job
 
         # the invariants hold after *every* op, not just at the end
         assert manager.computed == new_computes
         assert len(manager.store) <= 2
-        for tag, job in live:
-            # completed results are never lost, whatever the store did
+        for tag, job in list(live):
+            polled = manager.get(job.id)
+            if polled is None:
+                # retired with its evicted result: gone, never partial
+                assert manager.retired(job.id)
+                assert manager.delete(job.id) == "missing"
+                live.remove((tag, job))
+                continue
+            assert polled is job and not manager.retired(job.id)
+            # a job still served holds a result the store still has
+            assert KEYS[tag] in manager.store
             assert job.state == JobState.DONE
             assert job.result is not None
             digest, records, graph_digest = canonical(tag)
@@ -103,6 +113,25 @@ def test_interleavings_never_lose_completed_results(ops):
             assert job.result.chain_records == records
             # the retained graph itself still hashes to the same identity
             assert fingerprint_digest(job.result.graph) == graph_digest
+
+
+def test_done_records_stay_within_store_capacity():
+    """Many distinct computes against a small store: finished job
+    records (each holding a CPG) never outnumber the store's capacity,
+    and a retired job answers as evicted, not unknown."""
+    manager = JobManager(workers=1, inline=True, store=ResultStore(capacity=2))
+    ids = []
+    for n in range(6):
+        job, status = manager.submit(
+            {"classes": gadget_bundle(f"cap{n}"), "options": {"sources": "native"}}
+        )
+        assert status == "new" and job.state == JobState.DONE
+        ids.append(job.id)
+        done = [j for j in manager.jobs() if j.state == JobState.DONE]
+        assert len(done) <= manager.store.capacity
+    assert [manager.get(i) is not None for i in ids] == [False] * 4 + [True] * 2
+    assert all(manager.retired(i) for i in ids[:4])
+    assert not manager.retired("j99999")
 
 
 @settings(max_examples=50, deadline=None)
