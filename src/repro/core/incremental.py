@@ -80,12 +80,16 @@ from repro.core.summary_cache import (
 )
 from repro.errors import GraphError, IncrementalError
 from repro.graphdb.graph import Node, PropertyGraph, Relationship
-from repro.graphdb.index import IndexManager
 from repro.graphdb.mvcc import VersionedGraph, WriteTransaction
 from repro.graphdb.wal import WriteAheadLog
 from repro.graphdb.traversal import Uniqueness
 from repro.jvm.hierarchy import ClassHierarchy
 from repro.jvm.model import JavaClass
+
+#: a WAL-backed session folds its log into a fresh base every this many
+#: updates; each update appends one TXN (patch ops + one ``rn`` op), so
+#: recovery replays at most this many minus one of them
+_WAL_COMPACT_EVERY = 16
 
 __all__ = [
     "DIFF_SCHEMA_VERSION",
@@ -471,7 +475,9 @@ class IncrementalAnalyzer:
                 wal = WriteAheadLog.create(
                     self._wal_path, graph, 0, fsync=self._wal_fsync
                 )
-            self.versioned = VersionedGraph(graph, wal=wal)
+            self.versioned = VersionedGraph(
+                graph, wal=wal, compact_every=_WAL_COMPACT_EVERY
+            )
         else:
             with self.versioned.write_txn() as txn:
                 txn.replace(graph)
@@ -716,11 +722,6 @@ class IncrementalAnalyzer:
 
         # -- phase: canonical renumber + verification ----------------------
         t0 = time.perf_counter()
-        if txn is not None:
-            # the renumber reassigns entity ids directly and swaps the
-            # top-level containers — clone every still-shared entity
-            # first so the frozen base version readers hold stays intact
-            txn.ensure_private_entities()
         self._renumber(new_hierarchy, merged)
         self._recompute_statistics(class_list, new_hierarchy, merged)
         stats.phase_seconds["renumber"] = time.perf_counter() - t0
@@ -1299,10 +1300,10 @@ class IncrementalAnalyzer:
         self, hierarchy: ClassHierarchy, summaries: Dict[str, MethodSummary]
     ) -> None:
         """Verify the patched graph is key-bijective with the symbolic
-        cold replay, then remap every node/relationship id in place to
-        the canonical (cold-build) numbering and rebuild the derived
-        structures — after which the graph fingerprint equals a cold
-        build's byte for byte."""
+        cold replay, then remap every node/relationship id to the
+        canonical (cold-build) numbering with
+        :meth:`PropertyGraph.renumber` — after which the graph
+        fingerprint equals a cold build's byte for byte."""
         graph = self.cpg.graph
         node_order, node_pos, rel_entries = self._canonical_orders(
             hierarchy, summaries
@@ -1387,79 +1388,32 @@ class IncrementalAnalyzer:
                 "patched edge multiset is not bijective with the cold replay"
             )
 
-        # remap: relationships first (they reference the old node ids)
-        old_to_new = {
-            node.id: node_pos[key] for key, node in actual_by_key.items()
-        }
-        by_position: List[Optional[Relationship]] = [None] * len(rel_entries)
-        for rel in graph._rels.values():
-            position = rel_new_pos[rel.id]
-            rel.id = position
-            rel.start_id = old_to_new[rel.start_id]
-            rel.end_id = old_to_new[rel.end_id]
-            by_position[position] = rel
-        new_nodes: Dict[int, Node] = {}
-        for position, key in enumerate(node_order):
-            node = actual_by_key[key]
-            node.id = position
-            new_nodes[position] = node
-        graph._nodes = new_nodes
-        graph._rels = {
-            position: rel for position, rel in enumerate(by_position)
-        }
+        # apply: the graph primitive (journalled as one op on an MVCC
+        # overlay) reassigns the canonical ids and rebuilds the derived
+        # structures.  Index declaration order matters for the
+        # fingerprint: a cold build declares CPG_INDEX_ORDER first, so
+        # normalise to that sequence (a loaded snapshot may carry the
+        # indexes in storage order), then keep any extra indexes in the
+        # old manager's order
+        rel_order: List[int] = [0] * len(rel_entries)
+        for rel_id, position in rel_new_pos.items():
+            rel_order[position] = rel_id
+        declared = list(graph.indexes._property_indexes)
+        index_order = [pair for pair in CPG_INDEX_ORDER if pair in declared]
+        index_order += [pair for pair in declared if pair not in CPG_INDEX_ORDER]
+        graph.renumber(
+            [actual_by_key[key].id for key in node_order], rel_order, index_order
+        )
 
-        # rebuild adjacency/counters in canonical order — identical to
-        # what create_node/create_relationship would have produced
-        node_count = len(node_order)
-        graph._out = {nid: [] for nid in range(node_count)}
-        graph._in = {nid: [] for nid in range(node_count)}
-        graph._out_by_type = {nid: {} for nid in range(node_count)}
-        graph._in_by_type = {nid: {} for nid in range(node_count)}
-        type_counts: Dict[str, int] = {}
-        for rel in by_position:
-            graph._out[rel.start_id].append(rel.id)
-            graph._in[rel.end_id].append(rel.id)
-            graph._out_by_type[rel.start_id].setdefault(
-                rel.type, []
-            ).append(rel.id)
-            graph._in_by_type[rel.end_id].setdefault(
-                rel.type, []
-            ).append(rel.id)
-            type_counts[rel.type] = type_counts.get(rel.type, 0) + 1
-        graph._rel_type_counts = type_counts
-        graph._rel_prop_indexes = {
-            key: {
-                rel.id for rel in by_position if key in rel.properties
-            }
-            for key in graph._rel_prop_indexes
-        }
-        fresh = IndexManager()
-        # declaration order matters for the fingerprint: a cold build
-        # declares CPG_INDEX_ORDER first, so normalise to that sequence
-        # (a loaded snapshot may carry the indexes in storage order),
-        # then keep any extra indexes in the old manager's order
-        declared = set(graph.indexes._property_indexes)
-        for label, key in CPG_INDEX_ORDER:
-            if (label, key) in declared:
-                fresh.create_index(label, key)
-        for label, key in graph.indexes._property_indexes:
-            if (label, key) not in set(CPG_INDEX_ORDER):
-                fresh.create_index(label, key)
-        for position in range(node_count):
-            fresh.index_node(new_nodes[position])
-        graph.indexes = fresh
-        graph._next_node_id = node_count
-        graph._next_rel_id = len(rel_entries)
-
-        # the session's key -> id maps now carry the canonical ids
+        # the session's key -> id maps now carry the canonical ids; read
+        # them off node_pos, since an MVCC overlay renumbers private
+        # clones and leaves the nodes in actual_by_key untouched
         self._class_node_ids = {
-            key[1]: node.id
-            for key, node in actual_by_key.items()
-            if key[0] == "C"
+            key[1]: position for key, position in node_pos.items() if key[0] == "C"
         }
         self._method_node_ids = {
-            (key[1], key[2], key[3]): node.id
-            for key, node in actual_by_key.items()
+            (key[1], key[2], key[3]): position
+            for key, position in node_pos.items()
             if key[0] == "M"
         }
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import GraphError, NodeNotFoundError, RelationshipNotFoundError
 from repro.graphdb.index import IndexManager, _index_key
@@ -367,6 +369,98 @@ class PropertyGraph:
         indexed = self._rel_prop_indexes.get(key)
         if indexed is not None:
             indexed.add(found.id)
+
+    # -- renumbering -------------------------------------------------------------
+
+    def renumber(
+        self,
+        node_order: Sequence[int],
+        rel_order: Sequence[int],
+        index_order: Sequence[Tuple[str, str]],
+    ) -> None:
+        """Reassign every id densely in a new order: the node with id
+        ``node_order[i]`` becomes node ``i`` and the relationship with
+        id ``rel_order[j]`` becomes relationship ``j``; property indexes
+        are declared in ``index_order``.  The result equals creating the
+        entities afresh in that order.  Raises :class:`GraphError`,
+        leaving the graph untouched, unless each order is a permutation
+        of the live ids (or of the declared property indexes).
+        """
+        self._writable()
+        index_order = [tuple(pair) for pair in index_order]
+        for what, order, live in (
+            ("live node ids", node_order, self._nodes.keys()),
+            ("live relationship ids", rel_order, self._rels.keys()),
+            ("declared property indexes", index_order,
+             self.indexes._property_indexes.keys()),
+        ):
+            if len(order) != len(live) or set(order) != live:
+                raise GraphError(
+                    f"renumber: an order of {len(order)} entries is not a "
+                    f"permutation of the {len(live)} {what}"
+                )
+        self._reassign_ids(
+            node_order, range(len(node_order)),
+            rel_order, range(len(rel_order)),
+            index_order,
+        )
+        self._next_node_id = len(node_order)
+        self._next_rel_id = len(rel_order)
+
+    def _reassign_ids(
+        self,
+        node_order: Iterable[int],
+        node_ids: Iterable[int],
+        rel_order: Iterable[int],
+        rel_ids: Iterable[int],
+        index_order: Iterable[Tuple[str, str]],
+    ) -> None:
+        """Give the node with id ``node_order[i]`` the id ``node_ids[i]``
+        (relationships likewise), then rebuild, in the new relationship
+        order, the adjacency lists and type counts, the relationship-
+        property indexes and an :class:`IndexManager` declaring
+        ``index_order``.  Trusts its arguments; callers validate them."""
+        nodes = self._nodes
+        node_map: Dict[int, int] = {}
+        new_nodes: Dict[int, Node] = {}
+        for old_id, new_id in zip(node_order, node_ids):
+            node = nodes[old_id]
+            node.id = new_id
+            node_map[old_id] = new_id
+            new_nodes[new_id] = node
+        rels = self._rels
+        new_rels: Dict[int, Relationship] = {}
+        for old_id, new_id in zip(rel_order, rel_ids):
+            rel = rels[old_id]
+            rel.id = new_id
+            rel.start_id = node_map[rel.start_id]
+            rel.end_id = node_map[rel.end_id]
+            new_rels[new_id] = rel
+        self._nodes = new_nodes
+        self._rels = new_rels
+
+        self._out = {node_id: [] for node_id in new_nodes}
+        self._in = {node_id: [] for node_id in new_nodes}
+        self._out_by_type = {node_id: {} for node_id in new_nodes}
+        self._in_by_type = {node_id: {} for node_id in new_nodes}
+        type_counts: Dict[str, int] = {}
+        for rel_id, rel in new_rels.items():
+            self._out[rel.start_id].append(rel_id)
+            self._in[rel.end_id].append(rel_id)
+            self._out_by_type[rel.start_id].setdefault(rel.type, []).append(rel_id)
+            self._in_by_type[rel.end_id].setdefault(rel.type, []).append(rel_id)
+            type_counts[rel.type] = type_counts.get(rel.type, 0) + 1
+        self._rel_type_counts = type_counts
+        self._rel_prop_indexes = {
+            key: {rel_id for rel_id, rel in new_rels.items() if key in rel.properties}
+            for key in self._rel_prop_indexes
+        }
+        indexes = IndexManager()
+        for label, key in index_order:
+            indexes.create_index(label, key)
+        for node in new_nodes.values():
+            indexes.index_node(node)
+        self.indexes = indexes
 
     # -- lookup -----------------------------------------------------------------
 

@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 from repro.errors import GraphError
 from repro.graphdb.graph import Node, PropertyGraph, Relationship
 from repro.graphdb.index import IndexManager, _index_key
-from repro.graphdb.wal import WriteAheadLog
+from repro.graphdb.wal import WriteAheadLog, order_runs
 
 __all__ = ["VersionedGraph", "WriteTransaction", "version_of"]
 
@@ -116,9 +116,8 @@ class _CowPropertyGraph(PropertyGraph):
     few dict copies, independent of graph size beyond that); every
     mutator privatizes exactly the inner buckets and entity objects it
     is about to touch, then delegates to the inherited implementation
-    so the maintenance invariants live in one place.  Mutations are
-    additionally journalled as WAL-ready ops while they stay
-    expressible through the public mutators.
+    so the maintenance invariants live in one place.  Every mutator,
+    :meth:`renumber` included, also journals itself as one WAL-ready op.
     """
 
     def __init__(self, base: PropertyGraph) -> None:
@@ -135,10 +134,6 @@ class _CowPropertyGraph(PropertyGraph):
         self._next_rel_id = base._next_rel_id
         self.indexes = _CowIndexManager(base.indexes)
         self._ops: List[Tuple[Any, ...]] = []
-        #: True while ``_ops`` is a faithful journal of every mutation;
-        #: cleared by :meth:`ensure_private_entities` (after which code
-        #: like the incremental renumber bypasses the mutators)
-        self._journalable = True
         self._owned_nodes: Set[int] = set()
         self._owned_rels: Set[int] = set()
         self._owned_out: Set[int] = set()
@@ -209,36 +204,6 @@ class _CowPropertyGraph(PropertyGraph):
         if key not in self._owned_rel_prop:
             self._rel_prop_indexes[key] = set(self._rel_prop_indexes[key])
             self._owned_rel_prop.add(key)
-
-    def ensure_private_entities(self) -> None:
-        """Clone every still-shared node/relationship object.
-
-        Required before code that mutates entities *directly* (the
-        incremental renumber reassigns ``.id`` on every entity and
-        swaps the top-level containers wholesale) — without this, that
-        code would corrupt the frozen base version readers are pinned
-        to.  Marks the transaction non-journalable, forcing a
-        checkpoint commit when a WAL is attached.
-        """
-        for node_id, node in self._nodes.items():
-            if node_id not in self._owned_nodes:
-                clone = Node.__new__(Node)
-                clone.id = node.id
-                clone.labels = node.labels
-                clone.properties = dict(node.properties)
-                self._nodes[node_id] = clone
-        self._owned_nodes = set(self._nodes)
-        for rel_id, rel in self._rels.items():
-            if rel_id not in self._owned_rels:
-                clone = Relationship.__new__(Relationship)
-                clone.id = rel.id
-                clone.type = rel.type
-                clone.start_id = rel.start_id
-                clone.end_id = rel.end_id
-                clone.properties = dict(rel.properties)
-                self._rels[rel_id] = clone
-        self._owned_rels = set(self._rels)
-        self._journalable = False
 
     def cow_stats(self) -> Dict[str, int]:
         """How much this transaction actually privatized — the
@@ -350,6 +315,23 @@ class _CowPropertyGraph(PropertyGraph):
             self._owned_rel_prop.add(key)
         self._ops.append(("rix", key))
 
+    def renumber(self, node_order, rel_order, index_order) -> None:
+        # the renumber rewrites the ids of every entity in place, so
+        # clone each still-shared one first: the frozen base version
+        # readers hold keeps its ids.  Everything else the base
+        # primitive rebuilds is a fresh container, so afterwards the
+        # whole overlay is private and every ownership claim (stale
+        # ids included) holds
+        for node_id in self._nodes:
+            self._own_node(node_id)
+        for rel_id in self._rels:
+            self._own_rel(rel_id)
+        super().renumber(node_order, rel_order, index_order)
+        self._ops.append(
+            ("rn", order_runs(node_order), order_runs(rel_order),
+             [list(pair) for pair in index_order])
+        )
+
 
 # ---------------------------------------------------------------------------
 # transactions and the version chain
@@ -375,24 +357,14 @@ class WriteTransaction:
     def aborted(self) -> bool:
         return self._aborted
 
-    def mark_checkpoint(self) -> None:
-        """Declare the op journal unfaithful (something mutated the
-        graph outside the public mutators); a WAL-backed commit then
-        compacts instead of appending."""
-        self._checkpoint = True
-
     def replace(self, graph: PropertyGraph) -> None:
         """Commit an externally built graph as the next version (the
-        cold-rebuild fallback path).  Implies a checkpoint."""
+        analyzer's cold-rebuild fallback, the ``serve --live``
+        refresh).  It has no op journal against the prior version, so a
+        WAL-backed commit compacts instead of appending."""
         if self._done:
             raise GraphError("transaction already closed")
         self.graph = graph
-        self._checkpoint = True
-
-    def ensure_private_entities(self) -> None:
-        graph = self.graph
-        if isinstance(graph, _CowPropertyGraph):
-            graph.ensure_private_entities()
         self._checkpoint = True
 
     def cow_stats(self) -> Dict[str, int]:
@@ -412,7 +384,8 @@ class VersionedGraph:
     """A chain of immutable graph versions with one serialized writer.
 
     ``compact_every=N`` folds the WAL into a fresh base snapshot every
-    N journalled commits (0 = only when a commit is non-journalable).
+    N commits (0 = only on an explicit :meth:`compact` or a
+    :meth:`WriteTransaction.replace` commit, which has no op journal).
     """
 
     def __init__(
@@ -506,15 +479,11 @@ class VersionedGraph:
             new_version = self._version + 1
             graph.freeze()
             if self._wal is not None:
-                journalable = (
-                    not txn._checkpoint
-                    and getattr(graph, "_journalable", False)
-                )
                 due = (
                     self._compact_every
                     and self._txns_since_compact + 1 >= self._compact_every
                 )
-                if journalable and not due:
+                if not txn._checkpoint and not due:
                     self._wal.append_txn(new_version, graph._ops)
                     self._txns_since_compact += 1
                 else:

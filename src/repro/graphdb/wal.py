@@ -23,7 +23,11 @@ Two record kinds:
   the declared relationship-property presence indexes, and a
   fingerprint digest of the base graph for end-to-end verification.
 * ``TXN`` — one committed transaction: its version number and the
-  ordered list of mutation ops (see :func:`apply_ops`).
+  ordered list of mutation ops (see :func:`apply_ops`).  A renumber is
+  one ``rn`` op carrying the new node and relationship orders (as runs,
+  see :func:`order_runs`) and the index declaration order, so the
+  incremental analyzer's canonical renumber appends a TXN like any
+  other edit instead of forcing a compaction.
 
 Corruption semantics match the snapshot codecs: a *torn tail* (short
 frame, short payload, or a bad CRC on the final record — all
@@ -47,7 +51,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Sequence, Tuple
 
-from repro.errors import StorageError
+from repro.errors import GraphError, StorageError
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.snapshot import fingerprint_digest
 from repro.graphdb.storage import load_graph, save_graph
@@ -58,6 +62,7 @@ __all__ = [
     "WriteAheadLog",
     "ReplayResult",
     "apply_ops",
+    "order_runs",
 ]
 
 WAL_MAGIC = b"TABBYWAL"
@@ -86,10 +91,11 @@ _MAX_PAYLOAD = 1 << 40
 def apply_ops(graph: PropertyGraph, ops: Iterable[Sequence[Any]]) -> None:
     """Replay journalled mutation ops through the public mutators.
 
-    Raises :class:`StorageError` on an unknown op kind or when a
-    created entity comes back with an id other than the recorded one
-    (the journal is only valid against the exact base it was written
-    over).
+    Raises :class:`StorageError` on an unknown op kind, when a created
+    entity comes back with an id other than the recorded one (the
+    journal is only valid against the exact base it was written over),
+    or when a renumber (``rn``) op's orders are not permutations of the
+    live ids and declared indexes.
     """
     for op in ops:
         kind = op[0]
@@ -123,8 +129,47 @@ def apply_ops(graph: PropertyGraph, ops: Iterable[Sequence[Any]]) -> None:
             graph.create_index(op[1], op[2])
         elif kind == "rix":
             graph.create_relationship_index(op[1])
+        elif kind == "rn":
+            _, node_runs, rel_runs, index_order = op
+            try:
+                graph.renumber(
+                    _expand_runs(node_runs, graph.node_count),
+                    _expand_runs(rel_runs, graph.relationship_count),
+                    index_order,
+                )
+            except (GraphError, TypeError) as exc:
+                raise StorageError(f"WAL replay: bad renumber op: {exc}") from exc
         else:
             raise StorageError(f"WAL replay: unknown op kind {kind!r}")
+
+
+def order_runs(order: Sequence[int]) -> List[int]:
+    """The journal form of a renumber order: flat ``[first, count, ...]``
+    pairs, one per maximal run of consecutive ids.  The incremental
+    renumber keeps every unpatched entity in its old relative order, so
+    an ``rn`` op costs bytes in proportion to the edit, not the graph."""
+    runs: List[int] = []
+    for value in order:
+        if runs and value == runs[-2] + runs[-1]:
+            runs[-1] += 1
+        else:
+            runs += (value, 1)
+    return runs
+
+
+def _expand_runs(runs: Sequence[int], size: int) -> List[int]:
+    """Invert :func:`order_runs`, refusing (before allocating anything)
+    runs that do not add up to ``size`` ids."""
+    counts = runs[1::2]
+    if len(runs) % 2 or any(count < 1 for count in counts) or sum(counts) != size:
+        raise StorageError(
+            f"renumber runs do not cover the {size} live ids exactly"
+        )
+    return [
+        value
+        for first, count in zip(runs[::2], counts)
+        for value in range(first, first + count)
+    ]
 
 
 def _remap_graph_ids(
@@ -140,49 +185,17 @@ def _remap_graph_ids(
     bearing structure in place — sound because the graph was loaded
     moments ago and shares nothing.
     """
-    node_map = dict(enumerate(node_ids))
-    rel_map = dict(enumerate(rel_ids))
-    if len(node_map) != len(graph._nodes) or len(rel_map) != len(graph._rels):
+    if len(node_ids) != len(graph._nodes) or len(rel_ids) != len(graph._rels):
         raise StorageError(
             "WAL base id lists do not match the base snapshot "
-            f"({len(node_map)}/{len(graph._nodes)} nodes, "
-            f"{len(rel_map)}/{len(graph._rels)} relationships)"
+            f"({len(node_ids)}/{len(graph._nodes)} nodes, "
+            f"{len(rel_ids)}/{len(graph._rels)} relationships)"
         )
-    for dense, node in graph._nodes.items():
-        node.id = node_map[dense]
-    for dense, rel in graph._rels.items():
-        rel.id = rel_map[dense]
-        rel.start_id = node_map[rel.start_id]
-        rel.end_id = node_map[rel.end_id]
-    graph._nodes = {node.id: node for node in graph._nodes.values()}
-    graph._rels = {rel.id: rel for rel in graph._rels.values()}
-    graph._out = {
-        node_map[nid]: [rel_map[r] for r in ids] for nid, ids in graph._out.items()
-    }
-    graph._in = {
-        node_map[nid]: [rel_map[r] for r in ids] for nid, ids in graph._in.items()
-    }
-    graph._out_by_type = {
-        node_map[nid]: {t: [rel_map[r] for r in b] for t, b in buckets.items()}
-        for nid, buckets in graph._out_by_type.items()
-    }
-    graph._in_by_type = {
-        node_map[nid]: {t: [rel_map[r] for r in b] for t, b in buckets.items()}
-        for nid, buckets in graph._in_by_type.items()
-    }
-    graph._rel_prop_indexes = {
-        key: {rel_map[r] for r in ids}
-        for key, ids in graph._rel_prop_indexes.items()
-    }
-    indexes = graph.indexes
-    indexes._by_label = {
-        label: {node_map[n] for n in ids}
-        for label, ids in indexes._by_label.items()
-    }
-    indexes._property_indexes = {
-        pair: {value: {node_map[n] for n in ids} for value, ids in table.items()}
-        for pair, table in indexes._property_indexes.items()
-    }
+    graph._reassign_ids(
+        range(len(node_ids)), node_ids,
+        range(len(rel_ids)), rel_ids,
+        list(graph.indexes._property_indexes),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,25 @@ _KEYWORDS = {
 
 
 class Token:
-    __slots__ = ("kind", "text", "line", "column")
+    """One lexeme.  Stores its offset into the source; ``line`` and
+    ``column`` (both 1-based) are computed on demand, since only error
+    messages and diagnostics ever read them."""
 
-    def __init__(self, kind: str, text: str, line: int, column: int):
+    __slots__ = ("kind", "text", "offset", "source")
+
+    def __init__(self, kind: str, text: str, offset: int, source: str):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.column = column
+        self.offset = offset
+        self.source = source
+
+    @property
+    def line(self) -> int:
+        return self.source.count("\n", 0, self.offset) + 1
+
+    @property
+    def column(self) -> int:
+        return self.offset - self.source.rfind("\n", 0, self.offset)
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
@@ -107,18 +119,22 @@ class Token:
 # tokens; every other comment is discarded.
 _LINT_PRAGMA_RE = re.compile(r"^(?://|\#)\s*lint:\s*ignore\[([^\]]*)\]\s*$")
 
+#: one match per token, leading whitespace included; ``bad`` catches
+#: the first character no token starts with
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<nl>\n)
-  | (?P<comment>//[^\n]*|\#[^\n]*)
-  | (?P<string>"(?:\\.|[^"\\])*")
-  | (?P<atref>@this|@param-\d+)
-  | (?P<assign_id>:=)
-  | (?P<int>-?\d+)
-  | (?P<qname>[A-Za-z_$<][\w$>]*(?:\.[A-Za-z_$<][\w$>]*)+)
-  | (?P<name>[A-Za-z_$<][\w$>]*)
-  | (?P<op>==|!=|<=|>=|\|\||&&|\[\]|[{}()\[\];:,.=<>+\-*/%&|^])
+    [ \t\r\n]*
+    (?:
+      (?P<comment>//[^\n]*|\#[^\n]*)
+    | (?P<string>"(?:\\.|[^"\\])*")
+    | (?P<atref>@this|@param-\d+)
+    | (?P<assign_id>:=)
+    | (?P<int>-?\d+)
+    | (?P<qname>[A-Za-z_$<][\w$>]*(?:\.[A-Za-z_$<][\w$>]*)+)
+    | (?P<name>[A-Za-z_$<][\w$>]*)
+    | (?P<op>==|!=|<=|>=|\|\||&&|\[\]|[{}()\[\];:,.=<>+\-*/%&|^])
+    | (?P<bad>[^ \t\r\n])
+    )
     """,
     re.VERBOSE,
 )
@@ -131,37 +147,27 @@ class Lexer:
         self.source = source
 
     def tokens(self) -> List[Token]:
+        source = self.source
         out: List[Token] = []
-        pos = 0
-        line = 1
-        col = 1
-        n = len(self.source)
-        while pos < n:
-            m = _TOKEN_RE.match(self.source, pos)
-            if m is None:
-                raise JasmSyntaxError(
-                    f"unexpected character {self.source[pos]!r}", line, col
-                )
-            kind = m.lastgroup or ""
-            text = m.group()
-            if kind == "nl":
-                line += 1
-                col = 1
+        for m in _TOKEN_RE.finditer(source):
+            kind = m.lastgroup
+            text = m.group(kind)
+            offset = m.end() - len(text)  # the token ends the match
+            if kind == "name":
+                if text in _KEYWORDS:
+                    kind = "kw"
             elif kind == "comment":
                 pragma = _LINT_PRAGMA_RE.match(text)
-                if pragma is not None:
-                    out.append(Token("pragma", pragma.group(1), line, col))
-                col += len(text)
-            elif kind == "ws":
-                col += len(text)
-            else:
-                tkind = kind
-                if kind in ("name", "qname") and text in _KEYWORDS:
-                    tkind = "kw"
-                out.append(Token(tkind, text, line, col))
-                col += len(text)
-            pos = m.end()
-        out.append(Token("eof", "", line, col))
+                if pragma is None:
+                    continue
+                kind, text = "pragma", pragma.group(1)
+            elif kind == "bad":
+                tok = Token(kind, text, offset, source)
+                raise JasmSyntaxError(
+                    f"unexpected character {text!r}", tok.line, tok.column
+                )
+            out.append(Token(kind, text, offset, source))
+        out.append(Token("eof", "", len(source), source))
         return out
 
 
@@ -180,12 +186,15 @@ class Parser:
 
     def __init__(self, source: str):
         self._tokens = Lexer(source).tokens()
+        # _next never moves past the first eof and _peek looks at most
+        # three tokens ahead, so three more eofs keep every peek in range
+        self._tokens += self._tokens[-1:] * 3
         self._pos = 0
 
     # -- token plumbing ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+        return self._tokens[self._pos + offset]
 
     def _next(self) -> Token:
         tok = self._tokens[self._pos]

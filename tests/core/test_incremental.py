@@ -11,6 +11,8 @@ start, and the sound full-rebuild fallback.
 
 import copy
 import json
+import os
+import random
 
 import pytest
 
@@ -334,6 +336,111 @@ class TestFallback:
         monkeypatch.undo()
         assert_equivalent(session, gadget_program(), "post-fallback update")
         assert not session.last_statistics.full_rebuild
+
+
+class TestWalBackedEditStream:
+    """A durable session over a seeded Sleeping-Giants-style edit
+    script.  Every update must patch in place (a cold-rebuild fallback
+    would hide a broken renumber, since its output is correct too),
+    commit by appending one TXN, and rewrite the BASE record only at the
+    compaction cadence."""
+
+    COMPONENTS = (
+        "commons-collections(3.2.1)", "Hibernate", "FileUpload1", "JSON1",
+        "Rome", "XBean",
+    )
+    OPERATORS = ("drop_class", "drop_method", "make_serializable")
+
+    @staticmethod
+    def edit_script(targets, length, seed):
+        """``(operator, class)`` pairs; an edited class is re-added
+        (``readd_class``) before it is edited again."""
+        rng = random.Random(seed)
+        edited, script = set(), []
+        while len(script) < length:
+            fresh = sorted(set(targets) - edited)
+            if edited and (not fresh or rng.random() < 0.3):
+                name = rng.choice(sorted(edited))
+                edited.discard(name)
+                script.append(("readd_class", name))
+            else:
+                name = rng.choice(fresh)
+                edited.add(name)
+                script.append((rng.choice(TestWalBackedEditStream.OPERATORS), name))
+        return script
+
+    @staticmethod
+    def apply_edit(current, base, op, name):
+        if op == "readd_class":
+            current[name] = base[name]
+            return
+        if op == "drop_class":
+            current[name] = None
+            return
+        edited = copy.deepcopy(base[name])
+        if op == "drop_method":
+            victim = [k for k, m in edited.methods.items() if m.has_body][-1]
+            del edited.methods[victim]
+        else:
+            edited.interface_names = edited.interface_names + (SERIALIZABLE,)
+        current[name] = edited
+
+    def test_every_update_journals_and_matches_cold_and_replay(self, tmp_path):
+        from repro.core.incremental import _WAL_COMPACT_EVERY
+        from repro.graphdb.snapshot import fingerprint_digest
+        from repro.graphdb.wal import WriteAheadLog
+
+        base = build_lang_base()
+        for name in self.COMPONENTS:
+            base += list(build_component(name).classes)
+        parents = {c.super_name for c in base} | {
+            iface for c in base for iface in c.interface_names
+        }
+        targets = sorted(
+            c.name for c in base
+            if c.name not in parents
+            and not c.is_interface
+            and SERIALIZABLE not in c.interface_names
+            and not c.name.startswith("java.")
+            and sum(m.has_body for m in c.methods.values()) > 1
+        )
+        assert len(targets) >= 4
+        script = self.edit_script(targets, 24, seed=7)
+        assert {op for op, _ in script} == set(self.OPERATORS) | {"readd_class"}
+
+        wal_path = str(tmp_path / "cpg.wal")
+        session = IncrementalAnalyzer(
+            list(base), wal_path=wal_path, wal_fsync=False
+        )
+        originals = {c.name: c for c in base}
+        current = dict(originals)
+        for step, (op, name) in enumerate(script, 1):
+            self.apply_edit(current, originals, op, name)
+            classes = [c for c in current.values() if c is not None]
+            # neither the session nor a cold build mutates class objects,
+            # so both share them (as the edit-stream benchmark does)
+            result = session.update(classes)
+            stats = result.statistics
+            assert not stats.full_rebuild, (step, op, stats.full_rebuild_reason)
+
+            version = session.versioned.version
+            assert version == step
+            replayed = WriteAheadLog.attach(wal_path, fsync=False).replay(
+                recover=False
+            )
+            # the BASE moves only at the cadence; every other update is a TXN
+            assert replayed.version == version
+            assert replayed.txns_applied == version % _WAL_COMPACT_EVERY
+            bases = [n for n in os.listdir(tmp_path) if ".base." in n]
+            base_version = version - version % _WAL_COMPACT_EVERY
+            assert bases == [f"cpg.wal.base.{base_version}"]
+
+            cpg_cold, chains_cold = cold_reference(classes, session.search)
+            live = fingerprint_digest(session.cpg.graph)
+            assert live == fingerprint_digest(cpg_cold.graph), (step, op, name)
+            assert fingerprint_digest(replayed.graph) == live, (step, op, name)
+            assert [c.key for c in result.chains] == [c.key for c in chains_cold]
+        assert session.versioned.version > _WAL_COMPACT_EVERY
 
 
 class TestSnapshotWarmStart:

@@ -329,3 +329,94 @@ class TestRelationshipPropertyIndex:
         assert [r.id for r in graph.relationships_with_property("DEAD")] == [
             rels[3].id
         ]
+
+
+class TestRenumber:
+    """``renumber`` reassigns dense ids in a given order and rebuilds
+    every derived structure as if the entities were created afresh in
+    that order."""
+
+    @staticmethod
+    def _holey(graph):
+        graph.create_index("Class", "NAME")
+        graph.create_index("Class", "SINK")
+        graph.create_relationship_index("DEAD")
+        nodes = [
+            graph.create_node(["Class"], {"NAME": f"C{i}", "SINK": i % 2 == 0})
+            for i in range(6)
+        ]
+        for i in range(5):
+            props = {"DEAD": True} if i % 2 else None
+            graph.create_relationship("CALL", nodes[i], nodes[i + 1], props)
+        graph.create_relationship("ALIAS", nodes[5], nodes[0])
+        graph.delete_node(nodes[2], detach=True)
+        return graph
+
+    @staticmethod
+    def _afresh(graph, node_order, rel_order, index_order):
+        """The same entities created in the new order on a new graph."""
+        fresh = PropertyGraph()
+        for label, key in index_order:
+            fresh.create_index(label, key)
+        for key in graph._rel_prop_indexes:
+            fresh.create_relationship_index(key)
+        new_id = {}
+        for old in node_order:
+            node = graph.node(old)
+            new_id[old] = fresh.create_node(node.labels, node.properties).id
+        for old in rel_order:
+            rel = graph.relationship(old)
+            fresh.create_relationship(
+                rel.type, new_id[rel.start_id], new_id[rel.end_id], rel.properties
+            )
+        return fresh
+
+    def test_equals_creating_the_entities_in_the_new_order(self, graph):
+        from repro.graphdb.snapshot import graph_fingerprint
+
+        self._holey(graph)
+        node_order = list(reversed(graph._nodes))
+        rel_order = sorted(graph._rels, key=lambda r: -r)
+        index_order = [("Class", "SINK"), ("Class", "NAME")]
+        want = self._afresh(graph, node_order, rel_order, index_order)
+        graph.renumber(node_order, rel_order, index_order)
+        assert graph_fingerprint(graph) == graph_fingerprint(want)
+        assert list(graph._nodes) == list(range(len(node_order)))
+        assert list(graph._rels) == list(range(len(rel_order)))
+        assert graph.indexes.indexes() == want.indexes.indexes()
+        assert list(graph.indexes._property_indexes) == index_order
+        assert graph._out == want._out and graph._in_by_type == want._in_by_type
+        assert graph._rel_prop_indexes == want._rel_prop_indexes
+        assert graph._next_node_id == len(node_order)
+        assert not graph.check_integrity()
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["duplicate", "missing", "short", "bad-index"],
+    )
+    def test_refuses_non_permutations_untouched(self, graph, bad):
+        from repro.graphdb.snapshot import graph_fingerprint
+
+        self._holey(graph)
+        node_order = list(graph._nodes)
+        rel_order = list(graph._rels)
+        index_order = list(graph.indexes._property_indexes)
+        if bad == "duplicate":
+            node_order[1] = node_order[0]
+        elif bad == "missing":
+            rel_order[0] = max(rel_order) + 1
+        elif bad == "short":
+            node_order.pop()
+        else:
+            index_order[0] = ("Method", "NAME")
+        before = graph_fingerprint(graph)
+        with pytest.raises(GraphError, match="not a permutation"):
+            graph.renumber(node_order, rel_order, index_order)
+        assert graph_fingerprint(graph) == before
+        assert sorted(graph._nodes) == [0, 1, 3, 4, 5]
+
+    def test_frozen_graph_refuses(self, graph):
+        self._holey(graph)
+        graph.freeze()
+        with pytest.raises(GraphError, match="frozen"):
+            graph.renumber(list(graph._nodes), list(graph._rels), [])

@@ -1,6 +1,6 @@
 """Hypothesis battery over graph mutation: any interleaving of
-create/delete node, create/delete relationship, and property updates
-must leave every maintained secondary structure — label/property node
+create/delete node, create/delete relationship, property updates and
+renumbers must leave every maintained secondary structure — label/property node
 indexes, typed adjacency buckets, degree counters, relationship-type
 counters, relationship-property presence indexes — equal to a
 from-scratch recomputation over the primary ``_nodes``/``_rels`` maps.
@@ -8,6 +8,8 @@ from-scratch recomputation over the primary ``_nodes``/``_rels`` maps.
 This is the safety net under the incremental CPG patcher, which leans
 on exactly these structures surviving long delete/rebuild sequences.
 """
+
+import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -46,6 +48,7 @@ op = st.one_of(
         st.integers(min_value=0, max_value=999),
         st.sampled_from(PROP_VALUES),
     ),
+    st.tuples(st.just("renumber"), st.integers(min_value=0, max_value=999)),
 )
 
 
@@ -80,6 +83,13 @@ def apply_ops(graph, ops):
             graph.set_relationship_property(
                 rel_ids[entry[1] % len(rel_ids)], "PRUNED", entry[1] % 2 == 0
             )
+        elif kind == "renumber":
+            # a seeded shuffle of every id and of the index declarations
+            rng = random.Random(entry[1])
+            index_order = list(graph.indexes._property_indexes)
+            for order in (node_ids, rel_ids, index_order):
+                rng.shuffle(order)
+            graph.renumber(node_ids, rel_ids, index_order)
 
 
 def assert_matches_rebuild(graph):

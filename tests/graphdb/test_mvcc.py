@@ -191,24 +191,41 @@ class TestCopyOnWrite:
             is base_table
         )
 
-    def test_ensure_private_entities_unshares_everything(self):
+    def test_renumber_unshares_everything(self):
         g = seed_graph()
+        victim = next(iter(g._nodes))
+        g.delete_node(victim, detach=True)  # leave holes in both id ranges
         vg = VersionedGraph(g)
-        with vg.write_txn() as txn:
-            txn.ensure_private_entities()
-            assert all(
-                g._nodes[nid] is not node
-                for nid, node in txn.graph._nodes.items()
-            )
-            assert all(
-                g._rels[rid] is not rel
-                for rid, rel in txn.graph._rels.items()
-            )
-            # direct entity mutation is now safe for the base
-            next(iter(txn.graph._nodes.values())).properties["NAME"] = "X"
-        assert all(
-            node.properties["NAME"] != "X" for node in g._nodes.values()
+        base = vg.begin_snapshot()
+        ids = (list(base._nodes), list(base._rels))
+        adjacency = (
+            {nid: list(rels) for nid, rels in base._out.items()},
+            {nid: list(rels) for nid, rels in base._in.items()},
         )
+        digest = fingerprint_digest(base)
+        with vg.write_txn() as txn:
+            graph = txn.graph
+            graph.renumber(
+                list(reversed(graph._nodes)),
+                list(reversed(graph._rels)),
+                list(graph.indexes._property_indexes),
+            )
+            assert list(graph._nodes) == list(range(len(ids[0])))
+            base_nodes = {id(node) for node in base._nodes.values()}
+            base_rels = {id(rel) for rel in base._rels.values()}
+            assert not base_nodes & {id(n) for n in graph._nodes.values()}
+            assert not base_rels & {id(r) for r in graph._rels.values()}
+            # a later point write must not reach the base either
+            graph.set_node_property(0, "NAME", "X")
+        assert (list(base._nodes), list(base._rels)) == ids
+        assert all(node.id == nid for nid, node in base._nodes.items())
+        assert all(rel.id == rid for rid, rel in base._rels.items())
+        assert (base._out, base._in) == adjacency
+        del base._fingerprint_digest  # recompute instead of the memo
+        assert fingerprint_digest(base) == digest
+        committed = vg.begin_snapshot()
+        assert committed.node(0).properties["NAME"] == "X"
+        assert not committed.check_integrity()
 
     def test_delete_node_in_overlay_keeps_base_intact(self):
         g = seed_graph()

@@ -8,6 +8,7 @@ import os
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.graphdb.graph import PropertyGraph
@@ -17,6 +18,11 @@ from repro.graphdb.wal import (
     WAL_MAGIC,
     WriteAheadLog,
     apply_ops,
+)
+
+from tests.graphdb.test_mutation_properties import (
+    apply_ops as apply_script,
+    op as mutation_op,
 )
 
 _FRAME = struct.Struct("<BIQ")
@@ -247,6 +253,147 @@ class TestCorruptionMatrix:
         wal.append_txn(3, [["n+", 999, ["Class"], {}]])
         with pytest.raises(StorageError, match="id drift"):
             wal.replay()
+
+
+def renumber_reversed(graph):
+    graph.renumber(
+        list(reversed(graph._nodes)),
+        list(reversed(graph._rels)),
+        list(reversed(graph.indexes._property_indexes)),
+    )
+
+
+class TestRenumberJournal:
+    """A renumber commits as one ``rn`` op inside an ordinary TXN record,
+    and every way that record can be damaged either recovers to a
+    committed version or is refused — never a silently wrong graph."""
+
+    def _wal_ending_in_rn(self, tmp_path):
+        """BASE (a graph with holes) + TXN v1 (point edit) + TXN v2 (an
+        edit and a renumber); returns the log path and the v1/v2
+        digests."""
+        path = str(tmp_path / "graph.wal")
+        graph = build_graph(with_holes=True)
+        graph.create_index("Class", "IS_SINK")
+        vg = VersionedGraph(
+            graph, wal=WriteAheadLog.create(path, graph, 0, fsync=False)
+        )
+        with vg.write_txn() as txn:
+            txn.graph.create_node(["Class"], {"NAME": "A", "IS_SINK": True})
+        v1 = fingerprint_digest(vg.begin_snapshot())
+        with vg.write_txn() as txn:
+            txn.graph.delete_node(0, detach=True)
+            renumber_reversed(txn.graph)
+        return path, v1, fingerprint_digest(vg.begin_snapshot())
+
+    def test_renumber_appends_instead_of_compacting(self, tmp_path):
+        path, _, v2 = self._wal_ending_in_rn(tmp_path)
+        recs, data = frames(path)
+        assert [kind for _, kind, _ in recs] == [1, 2, 2]
+        assert b'["rn",' in data[recs[2][0]:]
+        replayed = WriteAheadLog.attach(path, fsync=False).replay()
+        assert replayed.version == 2 and replayed.txns_applied == 2
+        assert fingerprint_digest(replayed.graph) == v2
+        assert sorted(replayed.graph._nodes) == list(range(4))
+
+    def test_torn_rn_record_recovers_previous_version(self, tmp_path):
+        path, v1, _ = self._wal_ending_in_rn(tmp_path)
+        recs, data = frames(path)
+        rn_start = recs[2][0]
+        for cut in (rn_start + 3, rn_start + _FRAME.size + 5, len(data) - 1):
+            with open(path, "wb") as fh:
+                fh.write(data[:cut])
+            replayed = WriteAheadLog.attach(path, fsync=False).replay()
+            assert replayed.version == 1
+            assert fingerprint_digest(replayed.graph) == v1
+            assert os.path.getsize(path) == rn_start
+
+    @pytest.mark.parametrize(
+        "tamper, match",
+        [
+            ("duplicate", "not a permutation"),
+            ("missing", "not a permutation"),
+            ("wrong-length", "do not cover"),
+            ("bad-index", "not a permutation"),
+        ],
+    )
+    def test_tampered_rn_is_refused(self, tmp_path, tamper, match):
+        path = str(tmp_path / "graph.wal")
+        graph = build_graph(with_holes=True)
+        wal = WriteAheadLog.create(path, graph, 0, fsync=False)
+        node_runs = [0, 2, 3, 2]  # the live ids 0, 1, 3, 4
+        rel_runs = [0, 1, 3, 1]  # the live ids 0, 3
+        index_order = [["Class", "NAME"]]
+        if tamper == "duplicate":
+            node_runs = [0, 2, 3, 1, 3, 1]
+        elif tamper == "missing":
+            node_runs = [0, 2, 3, 1, 7, 1]
+        elif tamper == "wrong-length":
+            rel_runs = [0, 1]
+        else:
+            index_order = [["Class", "IS_SINK"]]
+        good = ["rn", [0, 2, 3, 2], [0, 1, 3, 1], [["Class", "NAME"]]]
+        # the untampered op replays cleanly over the same base
+        probe = WriteAheadLog.attach(path, fsync=False).replay().graph
+        apply_ops(probe, [good])
+        wal.append_txn(1, [["rn", node_runs, rel_runs, index_order]])
+        with pytest.raises(StorageError, match=match):
+            wal.replay()
+
+    def test_crash_between_append_and_publication(self, tmp_path, monkeypatch):
+        """The TXN is durable once appended: a writer that dies before
+        publishing still recovers to the version it journalled."""
+        path = str(tmp_path / "graph.wal")
+        graph = build_graph(with_holes=True)
+        vg = VersionedGraph(
+            graph, wal=WriteAheadLog.create(path, graph, 0, fsync=False)
+        )
+        real = WriteAheadLog.append_txn
+
+        def append_then_crash(self, version, ops):
+            real(self, version, ops)
+            raise KeyboardInterrupt("crash after the append")
+
+        monkeypatch.setattr(WriteAheadLog, "append_txn", append_then_crash)
+        with pytest.raises(KeyboardInterrupt):
+            with vg.write_txn() as txn:
+                renumber_reversed(txn.graph)
+                staged = txn.graph
+                txn.commit()
+        assert vg.version == 0  # never published in this process
+        assert vg.begin_snapshot() is graph
+        monkeypatch.undo()
+        replayed = WriteAheadLog.attach(path, fsync=False).replay()
+        assert replayed.version == 1
+        assert graph_fingerprint(replayed.graph) == graph_fingerprint(staged)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(
+    scripts=st.lists(
+        st.lists(mutation_op, min_size=1, max_size=8), min_size=1, max_size=4
+    )
+)
+def test_replay_equals_every_committed_version(tmp_path_factory, scripts):
+    """Differential: after each commit of a generated script (renumbers
+    included), replaying the log reproduces the published version."""
+    path = str(tmp_path_factory.mktemp("wal") / "graph.wal")
+    graph = build_graph(with_holes=True)
+    vg = VersionedGraph(
+        graph, wal=WriteAheadLog.create(path, graph, 0, fsync=False)
+    )
+    for script in scripts:
+        with vg.write_txn() as txn:
+            apply_script(txn.graph, script)
+        replayed = WriteAheadLog.attach(path, fsync=False).replay()
+        assert replayed.version == vg.version
+        assert graph_fingerprint(replayed.graph) == graph_fingerprint(
+            vg.begin_snapshot()
+        )
 
 
 class TestApplyOps:

@@ -39,6 +39,29 @@ class TestLexer:
         toks = jasm.Lexer("class interface return").tokens()
         assert all(t.kind == "kw" for t in toks[:-1])
 
+    def test_positions_are_one_based_line_and_column(self):
+        toks = jasm.Lexer("a\r\n\t b  // c\n# lint: ignore[x]\n  ").tokens()
+        assert [(t.kind, t.text, t.line, t.column) for t in toks] == [
+            ("name", "a", 1, 1),
+            ("name", "b", 2, 3),
+            ("pragma", "x", 3, 1),
+            ("eof", "", 4, 3),
+        ]
+
+    @pytest.mark.parametrize(
+        "source, line, column",
+        [("a ~ b", 1, 3), ("a\n  \"open", 2, 3), ("x\r\n\t?", 2, 2)],
+    )
+    def test_unexpected_character_position(self, source, line, column):
+        with pytest.raises(JasmSyntaxError) as info:
+            jasm.Lexer(source).tokens()
+        assert (info.value.line, info.value.column) == (line, column)
+
+    @pytest.mark.parametrize("source", ["", "   ", "\n\t\n", "// only"])
+    def test_blank_sources_lex_to_eof(self, source):
+        assert [t.kind for t in jasm.Lexer(source).tokens()] == ["eof"]
+        assert jasm.loads(source) == []
+
 
 class TestParserBasics:
     def test_empty_class(self):
