@@ -34,11 +34,11 @@ import time
 sys.path.insert(0, "src")
 
 from repro.core.cpg import CALL, CPGBuilder
-from repro.core.parallel import available_cpus
 from repro.core.pathfinder import GadgetChainFinder
 from repro.corpus import COMPONENT_NAMES, build_component, build_lang_base
 from repro.graphdb.traversal import Uniqueness
 from repro.jvm.hierarchy import ClassHierarchy
+from repro.serve.app import available_cpus
 
 REPETITIONS = 3
 

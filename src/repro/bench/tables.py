@@ -139,16 +139,15 @@ class ComponentResult:
 def run_table_ix_component(
     name: str,
     sl_step_budget: int = SL_STEP_BUDGET,
-    workers: int = 1,
     cache_dir: Optional[str] = None,
     refine_guards: bool = False,
 ) -> ComponentResult:
     """Run all three tools on one Table IX component.
 
-    ``workers``/``cache_dir`` tune Tabby's CPG build only (the baselines
-    stay serial, as in the paper).  A shared ``cache_dir`` pays off
-    across components: every component includes the same language base
-    classes, whose summaries are re-used after the first build.
+    ``cache_dir`` is Tabby's summary cache (the baselines have none).
+    A shared ``cache_dir`` pays off across components: every component
+    includes the same language base classes, whose summaries are re-used
+    after the first build.
 
     ``refine_guards=True`` adds a fourth score: Tabby's chain list
     post-filtered by :mod:`repro.core.refine`.  The baseline columns are
@@ -159,7 +158,7 @@ def run_table_ix_component(
     classes = build_lang_base() + spec.classes
     verifier = ChainVerifier(classes)
 
-    tabby = Tabby(workers=workers, cache_dir=cache_dir).add_classes(classes)
+    tabby = Tabby(cache_dir=cache_dir).add_classes(classes)
     started = time.perf_counter()
     chains = tabby.find_gadget_chains()
     tabby_score = classify_chains(
@@ -211,7 +210,6 @@ def run_table_ix_component(
 def run_table_ix(
     components: Optional[Sequence[str]] = None,
     sl_step_budget: int = SL_STEP_BUDGET,
-    workers: int = 1,
     cache_dir: Optional[str] = None,
     refine_guards: bool = False,
 ) -> List[ComponentResult]:
@@ -220,7 +218,6 @@ def run_table_ix(
         run_table_ix_component(
             name,
             sl_step_budget,
-            workers=workers,
             cache_dir=cache_dir,
             refine_guards=refine_guards,
         )

@@ -37,13 +37,8 @@ __all__ = ["main", "build_parser"]
 
 
 def _workers_arg(value: str) -> int:
-    """Worker counts must be >= 1; 'auto' spells one-per-CPU.
-
-    A bare ``0`` used to mean auto, which made ``--workers 0`` silently
-    legal everywhere and negative counts fall through to the pools;
-    both now fail argument parsing (exit 2) across analyze/chains/
-    bench/serve alike.
-    """
+    """``serve --workers``: a thread count >= 1, or 'auto' (returned
+    as 0) for one per CPU; anything else exits 2."""
     if value == "auto":
         return 0
     try:
@@ -223,9 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--components", nargs="*", default=None,
                        help="restrict table9 to these components")
-    bench.add_argument("--workers", type=_workers_arg, default=1, metavar="N",
-                       help="worker processes for table9 CPG builds "
-                       "('auto' = one per CPU)")
     bench.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="shared summary cache for table9 CPG builds")
     bench.add_argument("--refine-guards", action="store_true",
@@ -290,12 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_build_flags(parser: argparse.ArgumentParser) -> None:
     """CPG-build tuning shared by ``analyze`` and ``chains``."""
     parser.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N",
-        help="shard the summary phase across N worker processes ('auto' "
-        "= one per CPU, 1 = in-process serial); results are "
-        "bit-identical to serial",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent per-class summary cache; entries are keyed by "
         "content hash, so stale results are impossible",
@@ -308,7 +294,7 @@ def _add_build_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="print per-phase timings and cache/worker counters",
+        help="print per-phase timings and cache counters",
     )
 
 
@@ -319,7 +305,6 @@ def _sources(name: str) -> SourceCatalog:
 def _build_tabby(args: argparse.Namespace) -> Tabby:
     return Tabby(
         sources=_sources(args.sources),
-        workers=args.workers,
         cache_dir=args.cache_dir,
         cache_max_mb=getattr(args, "cache_max_mb", None),
     ).load_classpath(args.classpath)
@@ -554,7 +539,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     tabby = Tabby(
         sources=_sources(args.sources),
-        workers=args.workers,
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
     )
@@ -678,7 +662,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     elif args.table == "table9":
         print(bench.format_table_ix(bench.run_table_ix(
             components=args.components,
-            workers=args.workers,
             cache_dir=args.cache_dir,
             refine_guards=args.refine_guards,
         )))
@@ -709,8 +692,7 @@ def _cmd_sinks(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.parallel import available_cpus
-    from repro.serve.app import create_server
+    from repro.serve.app import available_cpus, create_server
 
     workers = args.workers or available_cpus()
     try:

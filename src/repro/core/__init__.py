@@ -7,7 +7,6 @@
 * :mod:`repro.core.sinks` / :mod:`repro.core.sources` — catalogs
 * :mod:`repro.core.pathfinder` — Algorithms 2-3 (§III-D)
 * :mod:`repro.core.chains` — gadget-chain model
-* :mod:`repro.core.parallel` — sharded summary construction
 * :mod:`repro.core.summary_cache` — persistent per-class summary cache
 * :mod:`repro.core.cpg_check` — structural CPG verification
 * :mod:`repro.core.refine` — opt-in guard-feasibility chain refinement
@@ -29,7 +28,6 @@ from repro.core.controllability import (
 )
 from repro.core.cpg import CPG, CPGBuilder, CPGStatistics
 from repro.core.cpg_check import CPGCheckIssue, verify_cpg
-from repro.core.parallel import ParallelConfig, available_cpus
 from repro.core.refine import (
     GuardFeasibilityRefiner,
     RefutationReason,
@@ -41,8 +39,6 @@ from repro.core.sources import SourceCatalog
 from repro.core.summary_cache import SummaryCache, catalog_token
 
 __all__ = [
-    "ParallelConfig",
-    "available_cpus",
     "SummaryCache",
     "catalog_token",
     "Tabby",

@@ -35,6 +35,7 @@ from repro.core.pathfinder import GadgetChainFinder, SearchStatistics
 from repro.core.refine import GuardFeasibilityRefiner
 from repro.core.sinks import SinkCatalog, SinkMethod
 from repro.core.sources import SourceCatalog
+from repro.core.summary_cache import SummaryCache, catalog_token
 from repro.errors import AnalysisError
 from repro.graphdb.query import QueryResult, run_query
 from repro.graphdb.storage import load_graph, open_graph, save_graph
@@ -54,16 +55,12 @@ class Tabby:
         sinks: Optional[SinkCatalog] = None,
         sources: Optional[SourceCatalog] = None,
         prune_uncontrollable_calls: bool = True,
-        workers: int = 1,
         cache_dir: Optional[str] = None,
         cache_max_mb: Optional[float] = None,
     ):
         self.sinks = sinks if sinks is not None else SinkCatalog()
         self.sources = sources if sources is not None else SourceCatalog.extended()
         self.prune_uncontrollable_calls = prune_uncontrollable_calls
-        #: >1 shards the summary phase across a process pool; 0 = one
-        #: worker per available CPU (see repro.core.parallel)
-        self.workers = workers
         #: persistent summary cache directory (see repro.core.summary_cache)
         self.cache_dir = cache_dir
         #: LRU size cap for the summary cache (None = unbounded)
@@ -119,25 +116,20 @@ class Tabby:
             sinks=self.sinks,
             sources=self.sources,
             prune_uncontrollable_calls=self.prune_uncontrollable_calls,
-            parallel=self.workers,
             cache=self._summary_cache(),
         )
         self._cpg = builder.build()
         return self._cpg
 
-    def _summary_cache(self):
-        """The configured summary cache: a :class:`SummaryCache` when a
-        size cap is set (the builder's plain-string path cannot carry
-        ``max_mb``), the raw directory otherwise."""
-        if self.cache_dir and self.cache_max_mb is not None:
-            from repro.core.summary_cache import SummaryCache, catalog_token
-
-            return SummaryCache(
-                self.cache_dir,
-                catalog_token(self.sinks, self.sources),
-                max_mb=self.cache_max_mb,
-            )
-        return self.cache_dir
+    def _summary_cache(self) -> Optional[SummaryCache]:
+        """The configured summary cache, or None without ``cache_dir``."""
+        if not self.cache_dir:
+            return None
+        return SummaryCache(
+            self.cache_dir,
+            catalog_token(self.sinks, self.sources),
+            max_mb=self.cache_max_mb,
+        )
 
     @property
     def cpg(self) -> CPG:

@@ -39,9 +39,8 @@ schedules the work bottom-up, callees first:
 Nothing about a summary depends on which method was requested first,
 on what else was analysed in the same run, or on call-chain depth (the
 scheduler keeps an explicit stack), which is exactly the property that
-lets the parallel shard workers of :mod:`repro.core.parallel`, the
-persisted classes of :mod:`repro.core.summary_cache` and the seeded
-summaries of :mod:`repro.core.incremental` reproduce a cold serial
+lets the persisted classes of :mod:`repro.core.summary_cache` and the
+seeded summaries of :mod:`repro.core.incremental` reproduce a cold
 build bit for bit.  Seeded summaries must cover whole SCCs (see
 :meth:`ControllabilityAnalysis.seed_summaries`).
 """
@@ -128,14 +127,6 @@ class SummaryWork:
 
     def note_scc(self, size: int, passes: int) -> None:
         self.scc_count += 1
-        self._note_largest(size, passes)
-
-    def merge(self, other: "SummaryWork") -> None:
-        self.method_analyses += other.method_analyses
-        self.scc_count += other.scc_count
-        self._note_largest(other.largest_scc_size, other.largest_scc_passes)
-
-    def _note_largest(self, size: int, passes: int) -> None:
         if size > self.largest_scc_size:
             self.largest_scc_size = size
             self.largest_scc_passes = passes
@@ -218,11 +209,6 @@ class ControllabilityAnalysis:
 
     # -- public API -------------------------------------------------------
 
-    @staticmethod
-    def method_order(methods: Iterable[JavaMethod]) -> List[JavaMethod]:
-        """The canonical analysis order: sorted by full signature."""
-        return sorted(methods, key=lambda m: m.signature.signature)
-
     def analyze_all(self) -> Dict[str, MethodSummary]:
         """Analyse every method with a body; returns summaries keyed by
         full signature string, in sorted key order."""
@@ -232,9 +218,9 @@ class ControllabilityAnalysis:
         self, methods: Iterable[JavaMethod]
     ) -> Dict[str, MethodSummary]:
         """Analyse the given methods (plus anything they transitively
-        require) in canonical order; returns *all* memoised summaries in
-        sorted key order."""
-        for method in self.method_order(methods):
+        require) in sorted-signature order; returns *all* memoised
+        summaries in sorted key order."""
+        for method in sorted(methods, key=lambda m: m.signature.signature):
             if method.has_body:
                 self.summary_for(method)
         return {key: self._summaries[key] for key in sorted(self._summaries)}

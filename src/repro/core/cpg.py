@@ -20,19 +20,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.controllability import (
     ControllabilityAnalysis,
     MethodSummary,
     SummaryWork,
 )
-from repro.core.parallel import ParallelConfig, parallel_summary_records
 from repro.core.sinks import SinkCatalog
 from repro.core.sources import SourceCatalog
 from repro.core.summary_cache import (
     SummaryCache,
-    catalog_token,
     decode_summary,
     dependency_closures,
 )
@@ -76,7 +74,7 @@ CPG_INDEX_ORDER = (
 @dataclass
 class CPGStatistics:
     """The counters Table VIII reports per corpus, plus per-phase
-    timings and cache/parallel counters for the scaling pipeline."""
+    timings and summary-cache counters."""
 
     jar_count: int = 0
     class_node_count: int = 0
@@ -86,8 +84,6 @@ class CPGStatistics:
     build_seconds: float = 0.0
     #: wall-clock per build phase: summaries / org / pcg / mag
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: worker processes used for the summary phase (0 = serial)
-    summary_workers: int = 0
     #: methods analysed by Algorithm 1 this build
     analyzed_method_count: int = 0
     #: Algorithm 1 body walks this build, fixpoint re-walks included
@@ -112,7 +108,7 @@ class CPGStatistics:
         }
 
     def profile_lines(self) -> List[str]:
-        """Human-readable per-phase/cache/worker report (``--profile``)."""
+        """Human-readable per-phase/cache report (``--profile``)."""
         lines = []
         for phase in ("summaries", "org", "pcg", "mag"):
             if phase in self.phase_seconds:
@@ -131,10 +127,6 @@ class CPGStatistics:
                 f"summary cache: {self.cache_hits} class hits, "
                 f"{self.cache_misses} misses"
             )
-        lines.append(
-            "summary workers: "
-            + (str(self.summary_workers) if self.summary_workers else "serial")
-        )
         lines.append(f"total build: {self.build_seconds:.3f}s")
         return lines
 
@@ -193,8 +185,7 @@ class CPGBuilder:
         sinks: Optional[SinkCatalog] = None,
         sources: Optional[SourceCatalog] = None,
         prune_uncontrollable_calls: bool = True,
-        parallel: Optional[Union[ParallelConfig, int]] = None,
-        cache: Optional[Union[SummaryCache, str]] = None,
+        cache: Optional[SummaryCache] = None,
     ):
         self.hierarchy = hierarchy
         self.sinks = sinks if sinks is not None else SinkCatalog()
@@ -202,16 +193,6 @@ class CPGBuilder:
         #: ablation hook: keep all-∞ call edges (turns the PCG back into
         #: the raw MCG, as the paper's baselines effectively use)
         self.prune_uncontrollable_calls = prune_uncontrollable_calls
-        if isinstance(parallel, int):
-            # int shorthand: 1 = serial, N>1 = N workers, 0 = one per CPU
-            parallel = (
-                ParallelConfig(workers=parallel) if parallel != 1 else None
-            )
-        self.parallel = parallel
-        if isinstance(cache, str):
-            cache = SummaryCache(
-                cache, catalog_token(self.sinks, self.sources)
-            )
         self.cache = cache
 
         self._graph = PropertyGraph()
@@ -254,9 +235,6 @@ class CPGBuilder:
             pruned_call_sites=pruned,
             build_seconds=time.perf_counter() - started,
             phase_seconds=phases,
-            summary_workers=(
-                self.parallel.resolved_workers() if self.parallel else 0
-            ),
             analyzed_method_count=analyzed,
             method_analyses=self.last_work.method_analyses,
             scc_count=self.last_work.scc_count,
@@ -268,16 +246,15 @@ class CPGBuilder:
         )
         return CPG(graph, self.hierarchy, stats, summaries)
 
-    # -- summary phase (Algorithm 1, cached and/or sharded) -----------------
+    # -- summary phase (Algorithm 1, seeded from the cache) --------------------
 
     def _compute_summaries(self) -> Tuple[Dict[str, MethodSummary], int, int]:
         """Summaries for every body-carrying method, in sorted key
         order.  Returns ``(summaries, analyzed_count, cached_count)``.
 
         The cache is consulted per class; missed classes are analysed
-        (serially or across the worker pool) with the hits seeded into
-        the memo table, then written back.  SCC-final determinism makes
-        every combination of {serial, parallel} x {cold, warm} produce
+        with the hits seeded into the memo table, then written back.
+        SCC-final determinism makes cold and warm builds produce
         identical values.
         """
         all_classes = self.hierarchy.classes
@@ -322,39 +299,24 @@ class CPGBuilder:
         else:
             missed_classes = list(all_classes)
 
-        summaries: Dict[str, MethodSummary] = dict(seeded)
         missed_methods = [
             m
             for cls in missed_classes
             for m in cls.methods.values()
             if m.has_body
         ]
-
-        self.last_work = SummaryWork()
-        if self.parallel is not None and missed_classes:
-            records, self.last_work = parallel_summary_records(
-                all_classes,
-                [cls.name for cls in missed_classes],
-                self.parallel,
-            )
-            for record in records:
-                summary = decode_summary(record, self.hierarchy)
-                summaries[summary.method.signature.signature] = summary
-        elif missed_classes:
-            analysis = ControllabilityAnalysis(self.hierarchy)
-            analysis.seed_summaries(seeded.values())
-            analysis.analyze_methods(missed_methods)
-            self.last_work = analysis.work
-            for method in missed_methods:
-                key = method.signature.signature
-                summaries[key] = analysis.summary_for(method)
+        analysis = ControllabilityAnalysis(self.hierarchy)
+        analysis.seed_summaries(seeded.values())
+        # every callee lies in a seeded or a missed class, so the memo
+        # holds exactly the seeded and the missed methods, sorted
+        summaries = analysis.analyze_methods(missed_methods)
+        self.last_work = analysis.work
 
         if self.cache is not None:
             for cls in missed_classes:
                 self.cache.store_class(class_keys[cls.name], cls, summaries)
 
-        ordered = {key: summaries[key] for key in sorted(summaries)}
-        return ordered, len(missed_methods), len(seeded)
+        return summaries, len(missed_methods), len(seeded)
 
     # -- ORG ---------------------------------------------------------------------
 
@@ -462,7 +424,7 @@ class CPGBuilder:
 
         Iterates in sorted signature order so phantom-node creation and
         edge insertion are reproducible regardless of how the summary
-        map was assembled (serial, sharded, or cache-seeded)."""
+        map was assembled (analysed, cache-seeded or incrementally seeded)."""
         pruned = 0
         for key in sorted(summaries):
             summary = summaries[key]

@@ -408,7 +408,6 @@ class IncrementalAnalyzer:
             sinks=session.sinks,
             sources=session.sources,
             prune_uncontrollable_calls=session.prune_uncontrollable_calls,
-            parallel=None,
             cache=session.cache,
         )
         summaries, analyzed, cached = builder._compute_summaries()
@@ -440,7 +439,6 @@ class IncrementalAnalyzer:
             sinks=self.sinks,
             sources=self.sources,
             prune_uncontrollable_calls=self.prune_uncontrollable_calls,
-            parallel=None,
             cache=self.cache,
         )
         self.cpg = builder.build()

@@ -27,10 +27,6 @@ The cache is safe by construction:
   any of its classes misses, so seeds always cover whole SCCs;
 * writes are atomic (temp file + rename), so a crashed build leaves at
   worst a stale temp file, not a truncated entry.
-
-The portable record codec (:func:`encode_summary` /
-:func:`decode_summary`) is shared with :mod:`repro.core.parallel`,
-which ships the same records across process boundaries.
 """
 
 from __future__ import annotations

@@ -132,36 +132,6 @@ def graph_from_dict(data: Dict[str, Any]) -> PropertyGraph:
     return _bulk_load(PropertyGraph(), indexes, node_rows, rel_rows)
 
 
-def _graph_from_dict_checked(data: Dict[str, Any]) -> PropertyGraph:
-    """The legacy v1 loader: one validated ``create_*`` call per entity.
-
-    Kept as the differential baseline for :func:`graph_from_dict` — the
-    bulk path must produce a structurally identical graph (asserted in
-    the test suite); this function is not used on any hot path.
-    """
-    version = data.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise StorageError(f"unsupported graph format version: {version!r}")
-    graph = PropertyGraph()
-    for label, key in data.get("indexes", ()):
-        graph.indexes.create_index(label, key)
-    id_map: Dict[int, int] = {}
-    try:
-        for spec in data["nodes"]:
-            node = graph.create_node(spec["labels"], spec.get("properties") or {})
-            id_map[spec["id"]] = node.id
-        for spec in data["relationships"]:
-            graph.create_relationship(
-                spec["type"],
-                id_map[spec["start"]],
-                id_map[spec["end"]],
-                spec.get("properties") or {},
-            )
-    except KeyError as exc:
-        raise StorageError(f"malformed graph document: missing {exc}") from exc
-    return graph
-
-
 def _resolve_format(path: str, format: Optional[str]) -> str:
     if format in (None, "auto"):
         return "json" if path.endswith(_JSON_SUFFIXES) else "v3"

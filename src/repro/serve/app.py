@@ -42,6 +42,7 @@ so the handler itself is stateless.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -52,11 +53,20 @@ from repro.serve.jobs import JobManager, JobState
 from repro.serve.ratelimit import RateLimiter
 from repro.serve.store import ResultStore
 
-__all__ = ["TabbyServer", "create_server"]
+__all__ = ["TabbyServer", "available_cpus", "create_server"]
 
 #: request bodies above this are rejected outright (64 MiB of jasm is
 #: far beyond any real submission; this bounds a worker-thread's parse)
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+def available_cpus() -> int:
+    """CPUs this process may schedule on (affinity-aware); sizes
+    ``tabby serve --workers auto``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 class TabbyServer(ThreadingHTTPServer):

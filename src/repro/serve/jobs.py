@@ -22,7 +22,7 @@ concurrency battery (``tests/serve/test_concurrency.py``) asserts the
 exactly-one-computation-per-hash consequence directly.
 
 Workers are *threads*, not processes: one job's pipeline is the same
-single-process code path the CLI runs (``Tabby(workers=1)``), so N
+single-process code path the CLI runs (``Tabby``), so N
 service workers bound memory at N live CPGs while the summary cache
 (``cache_dir``) is shared across all of them, processes included.
 """
@@ -697,7 +697,6 @@ class JobManager:
         tabby = Tabby(
             sinks=self.sinks,
             sources=sources,
-            workers=1,
             cache_dir=self.cache_dir,
         ).add_classes(classes)
         job.phase = "build_cpg"
@@ -795,7 +794,6 @@ class JobManager:
         tabby = Tabby(
             sinks=self.sinks,
             sources=sources,
-            workers=1,
             cache_dir=self.cache_dir,
         )
         job.phase = "diff"

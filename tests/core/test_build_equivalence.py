@@ -1,22 +1,22 @@
-"""Differential harness: every CPG build mode reproduces the serial one.
+"""Differential harness: every CPG build mode reproduces the plain one.
 
 The determinism contract (SCC-final summaries, see
-``repro.core.controllability``) promises that sharding the summary
-phase across worker processes and/or seeding it from the on-disk cache
-changes *nothing* — not just the chain results but the entire graph:
-node IDs, labels, properties (including ACTION), edge endpoints,
-POLLUTED_POSITION arrays, and pruning decisions are bit-identical.
+``repro.core.controllability``) promises that seeding the summary
+phase from the on-disk cache changes *nothing* — not just the chain
+results but the entire graph: node IDs, labels, properties (including
+ACTION), edge endpoints, POLLUTED_POSITION arrays, and pruning
+decisions are bit-identical.
 
 The quick tests here run on the two structurally nastiest components
 (a Serianalyzer recursion bomb and a deep known-chain component); the
-``slow``-marked sweep covers every Table IX component across worker
-counts and cache temperatures.
+``slow``-marked sweep covers every Table IX component at both cache
+temperatures.
 """
 
 import pytest
 
 from repro.core.cpg import CPGBuilder
-from repro.core.parallel import ParallelConfig
+from repro.core.summary_cache import SummaryCache
 from repro.corpus import COMPONENT_NAMES, build_component, build_lang_base
 from repro.jvm.hierarchy import ClassHierarchy
 
@@ -27,9 +27,9 @@ def component_classes(name):
     return build_lang_base() + build_component(name).classes
 
 
-def build_cpg(classes, parallel=None, cache=None):
-    hierarchy = ClassHierarchy(classes)
-    return CPGBuilder(hierarchy, parallel=parallel, cache=cache).build()
+def build_cpg(classes, cache_dir=None):
+    cache = SummaryCache(cache_dir) if cache_dir is not None else None
+    return CPGBuilder(ClassHierarchy(classes), cache=cache).build()
 
 
 def graph_fingerprint(cpg):
@@ -82,46 +82,19 @@ def corpus(request):
     return classes, build_cpg(classes)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_matches_serial(corpus, workers):
-    classes, serial = corpus
-    parallel = build_cpg(classes, parallel=ParallelConfig(workers=workers))
-    assert_identical(parallel, serial)
-
-
 def test_cold_cache_matches_serial(corpus, tmp_path):
     classes, serial = corpus
-    cold = build_cpg(classes, cache=str(tmp_path / "cache"))
+    cold = build_cpg(classes, cache_dir=str(tmp_path / "cache"))
     assert_identical(cold, serial)
 
 
 def test_warm_cache_matches_serial(corpus, tmp_path):
     classes, serial = corpus
     cache_dir = str(tmp_path / "cache")
-    build_cpg(classes, cache=cache_dir)  # populate
-    warm = build_cpg(classes, cache=cache_dir)
+    build_cpg(classes, cache_dir=cache_dir)  # populate
+    warm = build_cpg(classes, cache_dir=cache_dir)
     assert warm.statistics.cache_hits > 0
     assert_identical(warm, serial)
-
-
-def test_parallel_with_warm_cache_matches_serial(corpus, tmp_path):
-    classes, serial = corpus
-    cache_dir = str(tmp_path / "cache")
-    build_cpg(classes, cache=cache_dir)
-    combined = build_cpg(
-        classes, parallel=ParallelConfig(workers=2), cache=cache_dir
-    )
-    assert_identical(combined, serial)
-
-
-def test_cache_population_is_mode_independent(corpus, tmp_path):
-    """A cache written by a parallel build must seed a serial build to
-    the same result (and vice versa)."""
-    classes, serial = corpus
-    cache_dir = str(tmp_path / "par-cache")
-    build_cpg(classes, parallel=ParallelConfig(workers=2), cache=cache_dir)
-    warm_serial = build_cpg(classes, cache=cache_dir)
-    assert_identical(warm_serial, serial)
 
 
 @pytest.mark.slow
@@ -132,13 +105,8 @@ def test_full_component_sweep(name, tmp_path):
     serial = build_cpg(classes)
     cache_dir = str(tmp_path / "cache")
     for label, candidate in [
-        ("workers=1", build_cpg(classes, parallel=ParallelConfig(workers=1))),
-        ("workers=2", build_cpg(classes, parallel=ParallelConfig(workers=2))),
-        ("workers=4", build_cpg(classes, parallel=ParallelConfig(workers=4))),
-        ("cold-cache", build_cpg(classes, cache=cache_dir)),
-        ("warm-cache", build_cpg(classes, cache=cache_dir)),
-        ("workers=2+warm-cache",
-         build_cpg(classes, parallel=ParallelConfig(workers=2), cache=cache_dir)),
+        ("cold-cache", build_cpg(classes, cache_dir=cache_dir)),
+        ("warm-cache", build_cpg(classes, cache_dir=cache_dir)),
     ]:
         try:
             assert_identical(candidate, serial)

@@ -314,6 +314,27 @@ class TestSccSchedule:
         assert work.largest_scc_size == 30
         assert work.largest_scc_passes >= 1
 
+    def test_disjoint_parts_analysed_apart_reproduce_the_whole(
+        self, merged_hierarchy
+    ):
+        """Each part's methods, analysed by a fresh analysis that
+        re-derives every callee outside the part, get the summaries a
+        whole-corpus run gives them: the property cache and incremental
+        seeding rely on."""
+        names = sorted(cls.name for cls in merged_hierarchy.classes)
+        random.Random(7).shuffle(names)
+        union = {}
+        for part in range(4):
+            analysis = ControllabilityAnalysis(merged_hierarchy)
+            for name in names[part::4]:
+                for method in merged_hierarchy.get(name).methods.values():
+                    if method.has_body:
+                        union[method.signature.signature] = (
+                            analysis.summary_for(method)
+                        )
+        ordered = {key: union[key] for key in sorted(union)}
+        assert summaries_digest(ordered) == MERGED_CORPUS_DIGEST
+
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_in_scc_visit_order_is_irrelevant(self, merged_hierarchy, order):
         rng = random.Random(13)

@@ -8,12 +8,12 @@ from repro.errors import StorageError
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.snapshot import graph_fingerprint
 from repro.graphdb.storage import (
-    _graph_from_dict_checked,
     graph_from_dict,
     graph_to_dict,
     load_graph,
     save_graph,
 )
+from tests.graphdb.legacy_loader import graph_from_dict_checked
 
 
 def sample_graph():
@@ -76,7 +76,7 @@ class TestBulkLoaderEquivalence:
     def test_sample_graph(self):
         doc = graph_to_dict(sample_graph())
         assert graph_fingerprint(graph_from_dict(doc)) == graph_fingerprint(
-            _graph_from_dict_checked(doc)
+            graph_from_dict_checked(doc)
         )
 
     def test_graph_with_deletions_remaps_identically(self):
@@ -87,7 +87,7 @@ class TestBulkLoaderEquivalence:
         g.delete_node(extra, detach=True)
         doc = graph_to_dict(g)
         bulk = graph_from_dict(doc)
-        legacy = _graph_from_dict_checked(doc)
+        legacy = graph_from_dict_checked(doc)
         assert graph_fingerprint(bulk) == graph_fingerprint(legacy)
         # the remap is dense, unlike the pre-save graph
         assert sorted(n.id for n in bulk.nodes()) == list(range(bulk.node_count))

@@ -308,29 +308,32 @@ class TestLintCommand:
 
 
 class TestWorkersValidation:
-    """--workers 0/negative is bad input (exit 2) on every subcommand
-    that accepts it; 'auto' is the explicit one-per-CPU spelling."""
+    """Only serve takes --workers (job threads): 0/negative/garbage is
+    bad input (exit 2) and 'auto' is the explicit one-per-CPU spelling.
+    The build subcommands have no --workers at all (exit 2)."""
 
     @pytest.mark.parametrize("argv", [
-        ["analyze", "x", "--workers", "0"],
-        ["analyze", "x", "--workers", "-2"],
-        ["chains", "x", "--workers", "0"],
-        ["chains", "x", "--workers", "-1"],
-        ["bench", "table9", "--workers", "0"],
-        ["bench", "table9", "--workers", "-4"],
         ["serve", "--workers", "0"],
         ["serve", "--workers", "-3"],
-        ["analyze", "x", "--workers", "many"],
+        ["serve", "--workers", "many"],
+        ["analyze", "x", "--workers", "2"],
+        ["chains", "x", "--workers", "2"],
+        ["diff", "a", "b", "--workers", "2"],
+        ["bench", "table9", "--workers", "2"],
+        ["analyze", "x", "--workers", "auto"],
+        ["chains", "x", "--workers", "auto"],
     ])
     def test_rejected_with_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "worker count" in capsys.readouterr().err
+        expected = (
+            "worker count" if argv[0] == "serve"
+            else "unrecognized arguments: --workers"
+        )
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["analyze", "x", "--workers", "auto"],
-        ["chains", "x", "--workers", "auto"],
         ["serve", "--workers", "auto"],
     ])
     def test_auto_is_accepted(self, argv):
