@@ -39,7 +39,8 @@ or ``static java.lang.Runtime.getRuntime()``; ``<init>`` and
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import JasmSyntaxError
 from repro.jvm import ir
@@ -88,12 +89,18 @@ _KEYWORDS = {
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
+#
+# The token stream is two parallel lists, ``texts`` and ``kinds``.  One
+# ``findall`` call over the source returns every token's text; a token's
+# kind depends on its text alone, so kinds come from a memoised
+# text -> kind table.  Nothing records where a token starts: only an
+# error needs a line and column, and it finds them by rescanning.
 
 
 class Token:
-    """One lexeme.  Stores its offset into the source; ``line`` and
-    ``column`` (both 1-based) are computed on demand, since only error
-    messages and diagnostics ever read them."""
+    """One lexeme, as :meth:`Lexer.tokens` reports it.  Stores its offset
+    into the source; ``line`` and ``column`` (both 1-based) are computed
+    on demand."""
 
     __slots__ = ("kind", "text", "offset", "source")
 
@@ -105,68 +112,132 @@ class Token:
 
     @property
     def line(self) -> int:
-        return self.source.count("\n", 0, self.offset) + 1
+        return _line_column(self.source, self.offset)[0]
 
     @property
     def column(self) -> int:
-        return self.offset - self.source.rfind("\n", 0, self.offset)
+        return _line_column(self.source, self.offset)[1]
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
+
+
+def _line_column(source: str, offset: int) -> Tuple[int, int]:
+    return (
+        source.count("\n", 0, offset) + 1,
+        offset - source.rfind("\n", 0, offset),
+    )
 
 
 # ``# lint: ignore[rule, ...]`` comments survive the lexer as pragma
 # tokens; every other comment is discarded.
 _LINT_PRAGMA_RE = re.compile(r"^(?://|\#)\s*lint:\s*ignore\[([^\]]*)\]\s*$")
 
-#: one match per token, leading whitespace included; ``bad`` catches
-#: the first character no token starts with
-_TOKEN_RE = re.compile(
-    r"""
-    [ \t\r\n]*
-    (?:
-      (?P<comment>//[^\n]*|\#[^\n]*)
-    | (?P<string>"(?:\\.|[^"\\])*")
-    | (?P<atref>@this|@param-\d+)
-    | (?P<assign_id>:=)
-    | (?P<int>-?\d+)
-    | (?P<qname>[A-Za-z_$<][\w$>]*(?:\.[A-Za-z_$<][\w$>]*)+)
-    | (?P<name>[A-Za-z_$<][\w$>]*)
-    | (?P<op>==|!=|<=|>=|\|\||&&|\[\]|[{}()\[\];:,.=<>+\-*/%&|^])
-    | (?P<bad>[^ \t\r\n])
-    )
-    """,
-    re.VERBOSE,
+#: a name segment; ``<`` starts one only as ``<ident>`` (``<init>``,
+#: ``<clinit>``), so a bare ``<`` is the operator
+_NAME = r"(?:[A-Za-z_$][\w$>]*|<[A-Za-z_$][\w$]*>)"
+
+#: token kinds and their patterns, in match priority order; ``name`` is
+#: ``qname`` when dotted and ``kw`` when a keyword, a ``comment`` is a
+#: ``pragma`` when it is a lint pragma, and ``bad`` catches the first
+#: character no token starts with
+_TOKEN_PATTERNS = (
+    ("comment", r"//[^\n]*|\#[^\n]*"),
+    ("string", r'"(?:\\.|[^"\\])*"'),
+    ("atref", r"@this|@param-\d+"),
+    ("assign_id", r":="),
+    ("int", r"-?\d+"),
+    ("name", rf"{_NAME}(?:\.{_NAME})*"),
+    ("op", r"==|!=|<=|>=|\|\||&&|\[\]|[{}()\[\];:,.=<>+\-*/%&|^]"),
+    ("bad", r"[^ \t\r\n]"),
 )
+
+#: one match per token, leading whitespace included; the one group is
+#: the token's text
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(" + "|".join(p for _, p in _TOKEN_PATTERNS) + ")"
+)
+
+#: fullmatching a token text picks the alternative that lexed it: an
+#: earlier alternative that matched the text would have matched first
+_KIND_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _TOKEN_PATTERNS))
+
+#: distinct token texts the kind table keeps before it starts over, so
+#: a long-lived process parsing hostile input stays bounded
+_KIND_TABLE_LIMIT = 1 << 16
+
+
+class _KindTable(dict):
+    """Memoised token text -> kind."""
+
+    def __missing__(self, text: str) -> str:
+        kind = _KIND_RE.fullmatch(text).lastgroup
+        if kind == "name":
+            if text in _KEYWORDS:
+                kind = "kw"
+            elif "." in text:
+                kind = "qname"
+        elif kind == "comment" and _LINT_PRAGMA_RE.match(text):
+            kind = "pragma"
+        if len(self) >= _KIND_TABLE_LIMIT:
+            self.clear()
+        self[text] = kind
+        return kind
+
+
+_KINDS = _KindTable()
+
+
+def _spans(source: str) -> Iterator[Tuple[str, str, int]]:
+    """``(kind, text, offset)`` of each token, comments dropped; raises
+    at the first character no token starts with."""
+    kinds = _KINDS
+    for m in _TOKEN_RE.finditer(source):
+        text = m.group(1)
+        kind = kinds[text]
+        if kind == "comment":
+            continue
+        if kind == "bad":
+            raise JasmSyntaxError(
+                f"unexpected character {text!r}", *_line_column(source, m.start(1))
+            )
+        yield kind, text, m.start(1)
+
+
+def _scan(source: str) -> Tuple[List[str], List[str]]:
+    """The token stream of ``source`` as parallel ``texts``/``kinds``."""
+    texts = _TOKEN_RE.findall(source)
+    kinds = list(map(_KINDS.__getitem__, texts))
+    if "comment" in kinds or "bad" in kinds:  # rare: drop comments, find bad
+        spans = list(_spans(source))
+        texts = [text for _, text, _ in spans]
+        kinds = [kind for kind, _, _ in spans]
+    return texts, kinds
+
+
+def _pragma_rules(comment: str) -> List[str]:
+    """Rule names from the bracket payload of a lint pragma comment."""
+    payload = _LINT_PRAGMA_RE.match(comment).group(1)
+    return [rule.strip() for rule in payload.split(",") if rule.strip()]
+
+
+def _shown(kind: str, text: str) -> str:
+    """A token's text as diagnostics show it: a pragma by its payload."""
+    return _LINT_PRAGMA_RE.match(text).group(1) if kind == "pragma" else text
 
 
 class Lexer:
-    """Tokenises jasm source."""
+    """Tokenises jasm source: a diagnostic view over the parser's scan."""
 
     def __init__(self, source: str):
         self.source = source
 
     def tokens(self) -> List[Token]:
         source = self.source
-        out: List[Token] = []
-        for m in _TOKEN_RE.finditer(source):
-            kind = m.lastgroup
-            text = m.group(kind)
-            offset = m.end() - len(text)  # the token ends the match
-            if kind == "name":
-                if text in _KEYWORDS:
-                    kind = "kw"
-            elif kind == "comment":
-                pragma = _LINT_PRAGMA_RE.match(text)
-                if pragma is None:
-                    continue
-                kind, text = "pragma", pragma.group(1)
-            elif kind == "bad":
-                tok = Token(kind, text, offset, source)
-                raise JasmSyntaxError(
-                    f"unexpected character {text!r}", tok.line, tok.column
-                )
-            out.append(Token(kind, text, offset, source))
+        out = [
+            Token(kind, _shown(kind, text), offset, source)
+            for kind, text, offset in _spans(source)
+        ]
         out.append(Token("eof", "", len(source), source))
         return out
 
@@ -175,131 +246,149 @@ class Lexer:
 # Parser
 # ---------------------------------------------------------------------------
 
+_MODIFIER_FLAGS = {name: int(Modifier[name.upper()]) for name in _MODIFIER_NAMES}
+_INVOKE_KINDS = frozenset(ir.InvokeKind.ALL)
 
-def _pragma_rules(text: str) -> List[str]:
-    """Rule names from the bracket payload of a lint pragma."""
-    return [rule.strip() for rule in text.split(",") if rule.strip()]
+
+class _Locals(dict):
+    """One :class:`ir.Local` per name: locals are immutable values, so a
+    parse shares them instead of allocating one per mention."""
+
+    def __missing__(self, name: str) -> ir.Local:
+        local = self[name] = ir.Local(name)
+        return local
 
 
 class Parser:
-    """Recursive-descent parser producing :class:`JavaClass` objects."""
+    """Recursive-descent parser producing :class:`JavaClass` objects.
+
+    It reads the parallel ``texts``/``kinds`` lists through ``_pos``.  A
+    keyword or operator text has one kind, so matching one needs the
+    text alone.  A check consumes its token only when it passes, so
+    ``_pos`` never moves past the eof; lookahead reaches at most three
+    tokens ahead, so three more eofs keep every index in range.
+    """
 
     def __init__(self, source: str):
-        self._tokens = Lexer(source).tokens()
-        # _next never moves past the first eof and _peek looks at most
-        # three tokens ahead, so three more eofs keep every peek in range
-        self._tokens += self._tokens[-1:] * 3
+        self._source = source
+        texts, kinds = _scan(source)
+        self._texts = texts + [""] * 4
+        self._kinds = kinds + ["eof"] * 4
         self._pos = 0
+        self._locals = _Locals()
 
     # -- token plumbing ------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        return self._tokens[self._pos + offset]
+    def _error(self, message: str, pos: Optional[int] = None) -> JasmSyntaxError:
+        """``message, got <token>`` at token ``pos`` (default: the current
+        token)."""
+        if pos is None:
+            pos = self._pos
+        shown = _shown(self._kinds[pos], self._texts[pos])
+        return self._error_at(pos, f"{message}, got {shown!r}")
 
-    def _next(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "eof":
+    def _error_at(self, pos: int, message: str) -> JasmSyntaxError:
+        """``message`` at the line and column of token ``pos``, found by
+        rescanning the source."""
+        source = self._source
+        _, _, offset = next(islice(_spans(source), pos, None), ("", "", len(source)))
+        return JasmSyntaxError(message, *_line_column(source, offset))
+
+    def _expect(self, text: str) -> None:
+        pos = self._pos
+        if self._texts[pos] != text:
+            raise self._error(f"expected {text!r}", pos)
+        self._pos = pos + 1
+
+    def _expect_kind(self, kind: str) -> str:
+        pos = self._pos
+        if self._kinds[pos] != kind:
+            raise self._error(f"expected {kind!r}", pos)
+        self._pos = pos + 1
+        return self._texts[pos]
+
+    def _accept(self, text: str) -> bool:
+        if self._texts[self._pos] == text:
             self._pos += 1
-        return tok
-
-    def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self._next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise JasmSyntaxError(
-                f"expected {want!r}, got {tok.text!r}", tok.line, tok.column
-            )
-        return tok
-
-    def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self._peek()
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self._next()
-        return None
-
-    def _error(self, message: str) -> JasmSyntaxError:
-        tok = self._peek()
-        return JasmSyntaxError(message + f", got {tok.text!r}", tok.line, tok.column)
+            return True
+        return False
 
     # -- grammar -----------------------------------------------------------------
 
     def parse_program(self) -> List[JavaClass]:
         classes: List[JavaClass] = []
-        while self._peek().kind != "eof":
+        while self._kinds[self._pos] != "eof":
             classes.append(self.parse_class())
         return classes
 
     def parse_class(self) -> JavaClass:
         modifiers = Modifier.PUBLIC
         is_interface = False
-        tok = self._next()
-        if tok.kind == "kw" and tok.text == "interface":
+        head = self._texts[self._pos]
+        if head == "interface":
             is_interface = True
             modifiers |= Modifier.INTERFACE | Modifier.ABSTRACT
-        elif not (tok.kind == "kw" and tok.text == "class"):
-            raise JasmSyntaxError(
-                f"expected 'class' or 'interface', got {tok.text!r}",
-                tok.line,
-                tok.column,
-            )
+        elif head != "class":
+            raise self._error("expected 'class' or 'interface'")
+        self._pos += 1
         name = self._qname()
         super_name: Optional[str] = "java.lang.Object"
         interfaces: List[str] = []
-        if self._accept("kw", "extends"):
+        if self._accept("extends"):
             super_name = self._qname()
         if name == "java.lang.Object":
             super_name = None
-        if self._accept("kw", "implements"):
+        if self._accept("implements"):
             interfaces.append(self._qname())
-            while self._accept("op", ","):
+            while self._accept(","):
                 interfaces.append(self._qname())
         cls = JavaClass(name, super_name, interfaces, modifiers)
-        self._expect("op", "{")
-        while not self._accept("op", "}"):
-            kw = self._peek()
-            if kw.kind == "pragma":
-                cls.lint_suppressions.update(_pragma_rules(self._next().text))
-            elif kw.kind == "kw" and kw.text == "field":
+        self._expect("{")
+        texts = self._texts
+        while not self._accept("}"):
+            pos = self._pos
+            if self._kinds[pos] == "pragma":
+                cls.lint_suppressions.update(_pragma_rules(texts[pos]))
+                self._pos = pos + 1
+            elif texts[pos] == "field":
                 self._parse_field(cls)
-            elif kw.kind == "kw" and kw.text == "method":
+            elif texts[pos] == "method":
                 self._parse_method(cls, is_interface)
             else:
                 raise self._error("expected 'field' or 'method'")
         return cls
 
     def _qname(self) -> str:
-        tok = self._next()
-        if tok.kind not in ("name", "qname"):
-            raise JasmSyntaxError(
-                f"expected a name, got {tok.text!r}", tok.line, tok.column
-            )
-        return tok.text
+        pos = self._pos
+        kind = self._kinds[pos]
+        if kind != "name" and kind != "qname":
+            raise self._error("expected a name")
+        self._pos = pos + 1
+        return self._texts[pos]
 
     def _modifiers(self) -> Modifier:
-        flags = Modifier(0)
-        while True:
-            tok = self._peek()
-            if tok.kind == "kw" and tok.text in _MODIFIER_NAMES:
-                self._next()
-                flags |= Modifier[tok.text.upper()]
-            else:
-                break
-        return flags or Modifier.PUBLIC
+        texts = self._texts
+        pos = self._pos
+        flags = 0
+        while texts[pos] in _MODIFIER_FLAGS:
+            flags |= _MODIFIER_FLAGS[texts[pos]]
+            pos += 1
+        self._pos = pos
+        return Modifier(flags) if flags else Modifier.PUBLIC
 
     def _type(self) -> jt.JavaType:
         name = self._qname()
+        texts = self._texts
+        pos = self._pos
         dims = 0
-        while self._peek().kind == "op" and self._peek().text == "[]":
-            self._next()
+        while texts[pos] == "[]":
+            pos += 1
             dims += 1
         # also accept explicit '[' ']' pairs
-        while (
-            self._peek().text == "["
-            and self._peek(1).text == "]"
-        ):
-            self._next()
-            self._next()
+        while texts[pos] == "[" and texts[pos + 1] == "]":
+            pos += 2
             dims += 1
+        self._pos = pos
         base = jt.type_from_name(name)
         if dims:
             return jt.array_of(base, dims)
@@ -309,129 +398,135 @@ class Parser:
         """An identifier position: keywords are acceptable names here
         (Java fields/parameters may legitimately be called ``method``,
         ``class`` has no such clash in jasm grammar positions)."""
-        tok = self._next()
-        if tok.kind not in ("name", "kw"):
-            raise JasmSyntaxError(
-                f"expected an identifier, got {tok.text!r}", tok.line, tok.column
-            )
-        return tok.text
+        pos = self._pos
+        kind = self._kinds[pos]
+        if kind != "name" and kind != "kw":
+            raise self._error("expected an identifier")
+        self._pos = pos + 1
+        return self._texts[pos]
 
     def _parse_field(self, cls: JavaClass) -> None:
-        self._expect("kw", "field")
+        self._pos += 1  # 'field'
         modifiers = self._modifiers()
         ftype = self._type()
         name = self._identifier()
-        self._expect("op", ";")
+        self._expect(";")
         cls.add_field(JavaField(name, ftype, modifiers))
 
     def _parse_method(self, cls: JavaClass, in_interface: bool) -> None:
-        self._expect("kw", "method")
+        self._pos += 1  # 'method'
         modifiers = self._modifiers()
         rtype = self._type()
         name = self._qname()
-        self._expect("op", "(")
+        self._expect("(")
         ptypes: List[jt.JavaType] = []
         pnames: List[str] = []
-        if not self._accept("op", ")"):
+        if not self._accept(")"):
             while True:
                 ptypes.append(self._type())
                 pnames.append(self._identifier())
-                if self._accept("op", ")"):
+                if self._accept(")"):
                     break
-                self._expect("op", ",")
+                self._expect(",")
         if in_interface:
             modifiers |= Modifier.ABSTRACT
         method = JavaMethod(name, ptypes, rtype, modifiers, pnames)
         cls.add_method(method)
-        if self._accept("op", ";"):
+        if self._accept(";"):
             return
-        self._expect("op", "{")
-        body: List[ir.Statement] = []
-        while not self._accept("op", "}"):
-            if self._peek().kind == "pragma":
-                method.lint_suppressions.update(_pragma_rules(self._next().text))
-                continue
-            body.append(self._parse_statement())
-        method.body = body
+        self._expect("{")
+        method.body = self._parse_body(method)
 
     # -- statements --------------------------------------------------------------
 
-    def _parse_statement(self) -> ir.Statement:
-        label: Optional[str] = None
-        if (
-            self._peek().kind == "name"
-            and self._peek(1).kind == "op"
-            and self._peek(1).text == ":"
-        ):
-            label = self._next().text
-            self._next()
-        stmt = self._parse_statement_body()
-        stmt.label = label
-        self._expect("op", ";")
-        return stmt
+    def _parse_body(self, method: JavaMethod) -> List[ir.Statement]:
+        """``stmt* "}"``, where ``stmt := [NAME ":"] body ";"``."""
+        texts = self._texts
+        kinds = self._kinds
+        body: List[ir.Statement] = []
+        while True:
+            pos = self._pos
+            head = texts[pos]
+            if head == "}":
+                self._pos = pos + 1
+                return body
+            kind = kinds[pos]
+            if kind == "pragma":
+                method.lint_suppressions.update(_pragma_rules(head))
+                self._pos = pos + 1
+                continue
+            label: Optional[str] = None
+            if texts[pos + 1] == ":" and kind == "name":
+                label = head
+                self._pos = pos + 2
+            stmt = self._parse_statement_body()
+            stmt.label = label
+            pos = self._pos
+            if texts[pos] != ";":
+                raise self._error("expected ';'")
+            self._pos = pos + 1
+            body.append(stmt)
 
     def _parse_statement_body(self) -> ir.Statement:
-        tok = self._peek()
-        if tok.kind == "kw":
-            if tok.text == "return":
-                self._next()
-                if self._peek().text == ";":
+        pos = self._pos
+        head = self._texts[pos]
+        kind = self._kinds[pos]
+        if kind == "name":
+            if self._kinds[pos + 1] == "assign_id":
+                local = self._locals[head]
+                self._pos = pos + 2
+                at = self._expect_kind("atref")
+                if at == "@this":
+                    return ir.IdentityStmt(local, ir.ThisRef())
+                return ir.IdentityStmt(local, ir.ParamRef(int(at[len("@param-") :])))
+        elif kind == "kw":
+            if head in _INVOKE_KINDS and self._is_invoke_ahead():
+                return ir.InvokeStmt(self._parse_invoke())
+            if head == "return":
+                self._pos = pos + 1
+                if self._texts[pos + 1] == ";":
                     return ir.ReturnStmt(None)
                 return ir.ReturnStmt(self._parse_value())
-            if tok.text == "if":
-                self._next()
+            if head == "if":
+                self._pos = pos + 1
                 cond = self._parse_value()
-                self._expect("kw", "goto")
+                self._expect("goto")
                 return ir.IfStmt(cond, self._qname())
-            if tok.text == "goto":
-                self._next()
-                return ir.GotoStmt(self._qname())
-            if tok.text == "throw":
-                self._next()
-                return ir.ThrowStmt(self._parse_value())
-            if tok.text == "nop":
-                self._next()
+            if head == "nop":
+                self._pos = pos + 1
                 return ir.NopStmt()
-            if tok.text == "switch":
+            if head == "goto":
+                self._pos = pos + 1
+                return ir.GotoStmt(self._qname())
+            if head == "throw":
+                self._pos = pos + 1
+                return ir.ThrowStmt(self._parse_value())
+            if head == "switch":
                 return self._parse_switch()
-            if tok.text in ir.InvokeKind.ALL and self._is_invoke_ahead():
-                return ir.InvokeStmt(self._parse_invoke())
-            if tok.text == "static":
-                ref = self._parse_ref()
-                self._expect("op", "=")
-                return ir.AssignStmt(ref, self._parse_rhs())
-        # identity or assignment starting with a ref
-        if tok.kind == "name" and self._peek(1).kind == "assign_id":
-            local = ir.Local(self._next().text)
-            self._next()
-            at = self._expect("atref")
-            if at.text == "@this":
-                return ir.IdentityStmt(local, ir.ThisRef())
-            index = int(at.text[len("@param-") :])
-            return ir.IdentityStmt(local, ir.ParamRef(index))
+        # an assignment to a ref (a 'static' one included)
         ref = self._parse_ref()
-        self._expect("op", "=")
+        self._expect("=")
         return ir.AssignStmt(ref, self._parse_rhs())
 
     def _parse_switch(self) -> ir.SwitchStmt:
-        self._expect("kw", "switch")
+        self._pos += 1  # 'switch'
         key = self._parse_value()
-        self._expect("op", "{")
+        self._expect("{")
         cases: List[Tuple[int, str]] = []
         default: Optional[str] = None
-        while not self._accept("op", "}"):
-            if self._accept("kw", "case"):
-                value = int(self._expect("int").text)
-                self._expect("op", ":")
-                self._expect("kw", "goto")
+        while not self._accept("}"):
+            if self._accept("case"):
+                value = int(self._expect_kind("int"))
+                self._expect(":")
+                self._expect("goto")
                 cases.append((value, self._qname()))
-            elif self._accept("kw", "default"):
-                self._expect("op", ":")
-                self._expect("kw", "goto")
+            elif self._accept("default"):
+                self._expect(":")
+                self._expect("goto")
                 default = self._qname()
             else:
                 raise self._error("expected 'case' or 'default'")
-            self._accept("op", ",")
+            self._accept(",")
         if default is None:
             raise self._error("switch requires a default arm")
         return ir.SwitchStmt(key, cases, default)
@@ -439,128 +534,127 @@ class Parser:
     # -- references and values -----------------------------------------------------
 
     def _parse_ref(self) -> ir.Value:
-        if self._accept("kw", "static"):
-            path = self._qname()
-            class_name, _, field_name = path.rpartition(".")
+        pos = self._pos
+        text = self._texts[pos]
+        kind = self._kinds[pos]
+        if kind == "name":
+            self._pos = pos + 1
+            base = self._locals[text]
+            if self._texts[pos + 1] == "[":
+                self._pos = pos + 2
+                index = self._parse_value()
+                self._expect("]")
+                if not isinstance(index, (ir.Local, ir.IntConst)):
+                    raise self._error("array index must be a local or int")
+                return ir.ArrayRef(base, index)
+            return base
+        if kind == "qname":
+            self._pos = pos + 1
+            local, _, field_name = text.partition(".")
+            if "." in field_name:
+                raise self._error_at(
+                    pos,
+                    f"instance field access is base.field, got {text!r} "
+                    "(use 'static' for static fields)",
+                )
+            return ir.InstanceFieldRef(self._locals[local], field_name)
+        if text == "static":
+            self._pos = pos + 1
+            class_name, _, field_name = self._qname().rpartition(".")
             if not class_name:
                 raise self._error("static reference needs Class.field")
             return ir.StaticFieldRef(class_name, field_name)
-        tok = self._next()
-        if tok.kind == "qname":
-            parts = tok.text.split(".")
-            if len(parts) != 2:
-                raise JasmSyntaxError(
-                    f"instance field access is base.field, got {tok.text!r} "
-                    "(use 'static' for static fields)",
-                    tok.line,
-                    tok.column,
-                )
-            return ir.InstanceFieldRef(ir.Local(parts[0]), parts[1])
-        if tok.kind != "name":
-            raise JasmSyntaxError(
-                f"expected a reference, got {tok.text!r}", tok.line, tok.column
-            )
-        base = ir.Local(tok.text)
-        if self._peek().text == "[":
-            self._next()
-            index = self._parse_value()
-            self._expect("op", "]")
-            if not isinstance(index, (ir.Local, ir.IntConst)):
-                raise self._error("array index must be a local or int")
-            return ir.ArrayRef(base, index)
-        return base
+        raise self._error("expected a reference")
 
     def _parse_value(self) -> ir.Value:
-        tok = self._peek()
-        if tok.kind == "int":
-            self._next()
-            return ir.IntConst(int(tok.text))
-        if tok.kind == "string":
-            self._next()
-            raw = tok.text[1:-1]
+        pos = self._pos
+        kind = self._kinds[pos]
+        if kind == "name" or kind == "qname":
+            return self._parse_ref()
+        text = self._texts[pos]
+        if kind == "int":
+            self._pos = pos + 1
+            return ir.IntConst(int(text))
+        if kind == "string":
+            self._pos = pos + 1
+            raw = text[1:-1]
             return ir.StringConst(raw.replace('\\"', '"').replace("\\\\", "\\"))
-        if tok.kind == "kw" and tok.text == "null":
-            self._next()
+        if text == "null":
+            self._pos = pos + 1
             return ir.NullConst()
-        if tok.kind == "kw" and tok.text == "class":
-            self._next()
+        if text == "class":
+            self._pos = pos + 1
             return ir.ClassConst(self._qname())
-        if tok.kind == "kw" and tok.text == "static":
+        if text == "static":
             return self._parse_ref()
-        if tok.kind in ("name", "qname"):
-            return self._parse_ref()
-        raise JasmSyntaxError(
-            f"expected a value, got {tok.text!r}", tok.line, tok.column
-        )
+        raise self._error("expected a value")
 
     def _parse_rhs(self) -> ir.Value:
-        tok = self._peek()
-        if tok.kind == "kw" and tok.text == "new":
-            self._next()
+        pos = self._pos
+        head = self._texts[pos]
+        if head == "new":
+            self._pos = pos + 1
             return ir.NewExpr(self._qname())
-        if tok.kind == "kw" and tok.text == "newarray":
-            self._next()
+        if head == "newarray":
+            self._pos = pos + 1
             etype = self._type()
-            self._expect("op", "[")
+            self._expect("[")
             size = self._parse_value()
-            self._expect("op", "]")
+            self._expect("]")
             return ir.NewArrayExpr(etype, size)
-        if tok.kind == "kw" and tok.text in ir.InvokeKind.ALL and self._is_invoke_ahead():
+        if head in _INVOKE_KINDS and self._is_invoke_ahead():
             return self._parse_invoke()
-        if tok.text == "(":
-            self._next()
+        if head == "(":
+            self._pos = pos + 1
             ttype = self._type()
-            self._expect("op", ")")
+            self._expect(")")
             return ir.CastExpr(ttype, self._parse_value())
         value = self._parse_value()
-        nxt = self._peek()
-        if nxt.kind == "kw" and nxt.text == "instanceof":
-            self._next()
+        op = self._texts[self._pos]
+        if op == "instanceof":
+            self._pos += 1
             return ir.InstanceOfExpr(value, self._type())
-        if nxt.kind == "op" and nxt.text in (
-            "+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&", "|", "^",
-        ):
-            self._next()
-            right = self._parse_value()
-            return ir.BinOpExpr(nxt.text, value, right)
+        if op in ir._BINOPS:
+            self._pos += 1
+            return ir.BinOpExpr(op, value, self._parse_value())
         return value
 
     def _is_invoke_ahead(self) -> bool:
         """Disambiguate ``static C.m(...)`` (invoke) from ``static C.f``
         (field reference): an invoke has ``(`` after its target path."""
-        offset = 1
-        if self._peek(offset).kind == "name":  # receiver local
-            offset += 1
-        if self._peek(offset).kind != "qname":
-            return False
-        after = self._peek(offset + 1)
-        return after.kind == "op" and after.text == "("
+        pos = self._pos + 1
+        if self._kinds[pos] == "name":  # receiver local
+            pos += 1
+        return self._kinds[pos] == "qname" and self._texts[pos + 1] == "("
 
     def _parse_invoke(self) -> ir.InvokeExpr:
-        kind_tok = self._next()
-        kind = kind_tok.text
+        """An invoke, once :meth:`_is_invoke_ahead` has seen its shape."""
+        texts = self._texts
+        pos = self._pos
+        kind = texts[pos]
+        pos += 1
         base: Optional[ir.Value] = None
         if kind != ir.InvokeKind.STATIC:
-            tok = self._expect("name")
-            base = ir.Local(tok.text)
-        path_tok = self._next()
-        if path_tok.kind != "qname":
-            raise JasmSyntaxError(
-                f"expected Class.method path, got {path_tok.text!r}",
-                path_tok.line,
-                path_tok.column,
-            )
-        class_name, _, method_name = path_tok.text.rpartition(".")
-        if not class_name:
-            raise self._error("invoke target needs Class.method")
-        self._expect("op", "(")
+            if self._kinds[pos] != "name":
+                raise self._error("expected 'name'", pos)
+            base = self._locals[texts[pos]]
+            pos += 1
+        if self._kinds[pos] != "qname":
+            raise self._error("expected Class.method path", pos)
+        class_name, _, method_name = texts[pos].rpartition(".")
+        pos += 2  # the path and the '(' that _is_invoke_ahead saw after it
         args: List[ir.Value] = []
-        if not self._accept("op", ")"):
+        if texts[pos] != ")":
             while True:
+                self._pos = pos
                 args.append(self._parse_value())
-                if self._accept("op", ")"):
+                pos = self._pos
+                if texts[pos] == ")":
                     break
-                self._expect("op", ",")
+                if texts[pos] != ",":
+                    raise self._error("expected ','")
+                pos += 1
+        self._pos = pos + 1
         return ir.InvokeExpr(kind, base, class_name, method_name, args)
 
 

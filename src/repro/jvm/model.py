@@ -179,6 +179,7 @@ class JavaMethod:
         self.param_names = tuple(param_names)
         self.body: List["Statement"] = []
         self.owner: Optional["JavaClass"] = None
+        self._signature: Optional[MethodSignature] = None
         #: lint rule names suppressed for this method (``repro.lint``);
         #: authored via the builder DSL or a ``# lint: ignore[...]``
         #: pragma in jasm source.
@@ -194,9 +195,14 @@ class JavaMethod:
 
     @property
     def signature(self) -> MethodSignature:
-        return MethodSignature(
-            self.class_name, self.name, self.param_types, self.return_type
-        )
+        """Built once per owner: a signature is immutable, so only a
+        change of owner makes a new one."""
+        sig = self._signature
+        if sig is None or sig.class_name != self.class_name:
+            sig = self._signature = MethodSignature(
+                self.class_name, self.name, self.param_types, self.return_type
+            )
+        return sig
 
     # -- predicates --------------------------------------------------------
 

@@ -13,6 +13,7 @@ for large corpora.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.errors import TypeModelError
@@ -289,6 +290,7 @@ def parse_method_descriptor(descriptor: str) -> Tuple[Tuple[JavaType, ...], Java
     return tuple(params), ret
 
 
+@lru_cache(maxsize=4096)  # types are interned, so a repeated name is a hit
 def type_from_name(name: str) -> JavaType:
     """Parse a human-readable type name (``int``, ``java.util.Map[]`` ...)."""
     name = name.strip()

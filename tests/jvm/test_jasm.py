@@ -155,6 +155,23 @@ class TestStatements:
         assert body[0].rhs.op == "=="
         assert body[1].rhs.op == "+"
 
+    @pytest.mark.parametrize("op", sorted(ir._BINOPS))
+    def test_every_binop_round_trips(self, op):
+        pb = ProgramBuilder()
+        with pb.cls("demo.Ops") as c:
+            with c.method("m", params=["int"], returns="int") as m:
+                m.ret(m.binop(op, m.param(1), -1))
+        text = jasm.dumps(pb.build())
+        assert f" {op} -1;" in text
+        assert round_trip(text) == text
+        (cls,) = jasm.loads(text)
+        assert cls.find_method("m").body[-2].rhs.op == op
+
+    def test_less_than_is_an_operator(self):
+        body = self.parse_body("a = b < c; d = b <= c; special this x.Y.<init>();")
+        assert [s.rhs.op for s in body[:2]] == ["<", "<="]
+        assert body[2].invoke_expr().method_name == "<init>"
+
     def test_virtual_invoke(self):
         body = self.parse_body("virtual b java.lang.Runtime.exec(a);")
         call = body[0].invoke_expr()

@@ -7,11 +7,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jvm import jasm
+from repro.jvm import ir, jasm
 from repro.jvm.builder import ProgramBuilder
 
 _ident = st.from_regex(r"[a-z][a-zA-Z0-9]{0,6}", fullmatch=True)
 _class_name = st.builds(lambda a, b: f"pkg{a}.C{b}", _ident, _ident)
+_binop = st.sampled_from(sorted(ir._BINOPS))
 
 
 @st.composite
@@ -44,7 +45,7 @@ def _program(draw):
                             )
                             pool.append(out)
                         elif kind == 4:
-                            pool.append(m.binop("+", draw(st.integers(-9, 9)), 1))
+                            pool.append(m.binop(draw(_binop), draw(st.integers(-9, 9)), 1))
                         elif kind == 5 and pool:
                             label = f"L{ci}{mi}{si}"
                             m.if_eq(draw(st.sampled_from(pool)), 0, label)

@@ -77,6 +77,13 @@ class TestJavaMethod:
         m = cls.add_method(JavaMethod("f", [jt.INT], jt.VOID))
         assert m.signature.signature == "<a.B: void f(int)>"
 
+    def test_signature_is_built_once_per_owner(self):
+        m = JavaClass("a.B").add_method(JavaMethod("f", [jt.INT], jt.VOID))
+        assert m.signature is m.signature
+        JavaClass("a.C").add_method(m)
+        assert m.signature.signature == "<a.C: void f(int)>"
+        assert m.signature is m.signature
+
 
 class TestJavaClass:
     def test_object_has_no_super(self):
